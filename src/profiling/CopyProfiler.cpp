@@ -10,25 +10,38 @@
 
 using namespace lud;
 
-OriginId CopyProfiler::intern(const HeapLoc &L) {
-  uint64_t Key = L.Tag * 4096 + L.Slot % 4096;
-  auto [It, Inserted] = OriginIds.try_emplace(Key, OriginId(0));
-  if (Inserted) {
-    OriginTable.push_back(L);
-    It->second = OriginId(OriginTable.size()); // 1-based; 0 is bottom.
-  }
-  return It->second;
+uint32_t CopyProfiler::LocTable::intern(const HeapLoc &L) {
+  auto [Id, Inserted] = Ids.insert(L, uint32_t(Locs.size() + 1));
+  if (Inserted)
+    Locs.push_back(L);
+  return Id;
 }
 
-NodeId CopyProfiler::hit(const Instruction &I, OriginId Origin) {
-  NodeId N = G.getOrCreate(I.getId(), Origin);
-  ++G.freq(N);
-  return N;
+uint32_t CopyProfiler::locOf(const Instruction &I, uint64_t Tag,
+                             FieldSlot Slot, LocTable &T) {
+  InstrId Id = I.getId();
+  if (Id < LocMemo.size() && LocMemo[Id].Tag == Tag)
+    return LocMemo[Id].Loc;
+  uint32_t Loc = 0;
+  // Objects never carry static pseudo-tags (DepGraph::makeTag asserts it),
+  // so a static tag here is a static location.
+  if (Tag != kNoTag)
+    Loc = T.intern(DepGraph::isStaticTag(Tag)
+                       ? HeapLoc{Tag, Slot}
+                       : HeapLoc{Sub->graph().tagSite(Tag), Slot});
+  if (Id < LocMemo.size())
+    LocMemo[Id] = {Tag, Loc};
+  return Loc;
 }
 
 void CopyProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   H = &Heap_;
   Sh.startRun(Heap_, Mod.globals().size());
+  G.sizeHitMemo(Mod.getNumInstrs());
+  if (!G.hotPathMemo())
+    LocMemo.clear();
+  else if (LocMemo.size() != Mod.getNumInstrs())
+    LocMemo.assign(Mod.getNumInstrs(), TagMemo{});
 }
 
 void CopyProfiler::onEntryFrame(const Function &F) {
@@ -69,9 +82,7 @@ void CopyProfiler::onAllocArray(const AllocArrayInst &I, ObjId O) {
 void CopyProfiler::onLoadField(const LoadFieldInst &I, ObjId Base,
                                const Value &) {
   // The loaded value originates from this field: a chain starts here.
-  AllocSiteId Site = siteOf(Base);
-  OriginId Origin =
-      Site == kNoAllocSite ? kBottomOrigin : intern(HeapLoc{Site, I.Slot});
+  OriginId Origin = locOf(I, H->obj(Base).Tag, I.Slot, Origins);
   NodeId N = hit(I, Origin);
   edgeFrom(Sh.objShadow(Base)[I.Slot], N);
   regs()[I.Dst] = {N, Origin};
@@ -85,15 +96,11 @@ void CopyProfiler::onStoreField(const StoreFieldInst &I, ObjId Base,
   NodeId N = hit(I, Src.Origin);
   edgeFrom(Src, N);
   Sh.objShadow(Base)[I.Slot] = {N, Src.Origin};
-  AllocSiteId Site = siteOf(Base);
-  if (Src.Origin != kBottomOrigin && Site != kNoAllocSite) {
-    ++CopyCount;
-    recordChain(Src.Origin, HeapLoc{Site, I.Slot}, N);
-  }
+  storeCopy(I, Src.Origin, H->obj(Base).Tag, I.Slot, N);
 }
 
 void CopyProfiler::onLoadStatic(const LoadStaticInst &I, const Value &) {
-  OriginId Origin = intern(HeapLoc{kStaticTagBase + I.Global, 0});
+  OriginId Origin = locOf(I, DepGraph::makeStaticTag(I.Global), 0, Origins);
   NodeId N = hit(I, Origin);
   edgeFrom(Sh.staticAt(I.Global), N);
   regs()[I.Dst] = {N, Origin};
@@ -105,17 +112,12 @@ void CopyProfiler::onStoreStatic(const StoreStaticInst &I, const Value &) {
   NodeId N = hit(I, Src.Origin);
   edgeFrom(Src, N);
   Sh.staticAt(I.Global) = {N, Src.Origin};
-  if (Src.Origin != kBottomOrigin) {
-    ++CopyCount;
-    recordChain(Src.Origin, HeapLoc{kStaticTagBase + I.Global, 0}, N);
-  }
+  storeCopy(I, Src.Origin, DepGraph::makeStaticTag(I.Global), 0, N);
 }
 
 void CopyProfiler::onLoadElem(const LoadElemInst &I, ObjId Base, uint32_t Index,
                               const Value &) {
-  AllocSiteId Site = siteOf(Base);
-  OriginId Origin =
-      Site == kNoAllocSite ? kBottomOrigin : intern(HeapLoc{Site, kElemSlot});
+  OriginId Origin = locOf(I, H->obj(Base).Tag, kElemSlot, Origins);
   NodeId N = hit(I, Origin);
   edgeFrom(Sh.objShadow(Base)[Index], N);
   regs()[I.Dst] = {N, Origin};
@@ -129,11 +131,7 @@ void CopyProfiler::onStoreElem(const StoreElemInst &I, ObjId Base,
   NodeId N = hit(I, Src.Origin);
   edgeFrom(Src, N);
   Sh.objShadow(Base)[Index] = {N, Src.Origin};
-  AllocSiteId Site = siteOf(Base);
-  if (Src.Origin != kBottomOrigin && Site != kNoAllocSite) {
-    ++CopyCount;
-    recordChain(Src.Origin, HeapLoc{Site, kElemSlot}, N);
-  }
+  storeCopy(I, Src.Origin, H->obj(Base).Tag, kElemSlot, N);
 }
 
 void CopyProfiler::onArrayLen(const ArrayLenInst &I, ObjId) {
@@ -141,19 +139,13 @@ void CopyProfiler::onArrayLen(const ArrayLenInst &I, ObjId) {
 }
 
 void CopyProfiler::onPredicate(const CondBrInst &I, bool) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Predicate;
-  ++G.freq(N);
+  NodeId N = G.hitConsumer(I.getId(), ConsumerKind::Predicate);
   edgeFrom(regs()[I.Lhs], N);
   edgeFrom(regs()[I.Rhs], N);
 }
 
 void CopyProfiler::onNativeCall(const NativeCallInst &I) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Native;
-  ++G.freq(N);
+  NodeId N = G.hitConsumer(I.getId(), ConsumerKind::Native);
   for (Reg A : I.Args)
     edgeFrom(regs()[A], N);
   if (I.Dst != kNoReg)
@@ -184,14 +176,23 @@ void CopyProfiler::onReturnBound(Reg Dst) {
   Sh.Pending = ShadowVal();
 }
 
-void CopyProfiler::recordChain(OriginId From, const HeapLoc &To,
-                               NodeId Store) {
-  const HeapLoc &FromLoc = originLoc(From);
-  auto [It, Inserted] = ChainIndex.try_emplace(chainKey(FromLoc, To),
-                                               Chains.size());
+void CopyProfiler::storeCopy(const Instruction &I, OriginId Src,
+                             uint64_t Tag, FieldSlot Slot, NodeId N) {
+  if (Src == kBottomOrigin)
+    return;
+  uint32_t To = locOf(I, Tag, Slot, Dests);
+  if (To == 0)
+    return;
+  ++CopyCount;
+  recordChain(Src, To, N);
+}
+
+void CopyProfiler::recordChain(OriginId From, uint32_t To, NodeId Store) {
+  auto [Idx, Inserted] = ChainIndex.insert((uint64_t(From) << 32) | To,
+                                           uint32_t(Chains.size()));
   if (Inserted)
-    Chains.push_back({FromLoc, To, 0, Store});
-  ++Chains[It->second].Count;
+    Chains.push_back({originLoc(From), Dests.Locs[To - 1], 0, Store});
+  ++Chains[Idx].Count;
 }
 
 void CopyProfiler::accountStats(obs::MetricsRegistry &R) const {
@@ -201,7 +202,7 @@ void CopyProfiler::accountStats(obs::MetricsRegistry &R) const {
   for (const CopyChain &C : Chains)
     ChainCopies += C.Count;
   R.set(R.gauge("copy.chain_copies"), ChainCopies);
-  R.set(R.gauge("copy.origins"), OriginTable.size());
+  R.set(R.gauge("copy.origins"), Origins.Locs.size());
   R.set(R.gauge("copy.graph.nodes"), G.numNodes());
   R.set(R.gauge("copy.graph.edges"), G.numEdges());
   R.set(R.gauge("mem.copy.graph_bytes", obs::Unit::Bytes),
@@ -215,18 +216,19 @@ void CopyProfiler::mergeFrom(const CopyProfiler &O) {
   // them. Deterministic shards of one module intern in the same order, so
   // this re-interning is the identity (checked), merely extending this
   // table with origins O saw first.
-  for (size_t I = 0; I != O.OriginTable.size(); ++I) {
-    OriginId R = intern(O.OriginTable[I]);
+  for (size_t I = 0; I != O.Origins.Locs.size(); ++I) {
+    OriginId R = Origins.intern(O.Origins.Locs[I]);
     assert(R == OriginId(I + 1) &&
            "merged profilers interned origins in different orders");
     (void)R;
   }
   for (const CopyChain &C : O.Chains) {
-    auto [It, Inserted] = ChainIndex.try_emplace(chainKey(C.From, C.To),
-                                                 Chains.size());
+    uint64_t Key = (uint64_t(Origins.intern(C.From)) << 32) |
+                   Dests.intern(C.To);
+    auto [Idx, Inserted] = ChainIndex.insert(Key, uint32_t(Chains.size()));
     if (Inserted)
       Chains.push_back({C.From, C.To, 0, Remap[C.StoreNode]});
-    Chains[It->second].Count += C.Count;
+    Chains[Idx].Count += C.Count;
   }
 }
 

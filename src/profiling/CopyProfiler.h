@@ -32,7 +32,6 @@
 #include "runtime/Heap.h"
 #include "runtime/ProfilerConcept.h"
 
-#include <unordered_map>
 #include <vector>
 
 namespace lud {
@@ -71,7 +70,7 @@ public:
   /// Abstract location for the origin id (inverse of interning);
   /// kBottomOrigin maps to a zero location.
   HeapLoc originLoc(OriginId O) const {
-    return O == kBottomOrigin ? HeapLoc{0, 0} : OriginTable[O - 1];
+    return O == kBottomOrigin ? HeapLoc{0, 0} : Origins.Locs[O - 1];
   }
 
   /// Walks backward from a chain's store node through nodes with the same
@@ -128,8 +127,25 @@ private:
 
   ShadowVal *regs() { return Sh.regs(); }
 
-  OriginId intern(const HeapLoc &L);
-  NodeId hit(const Instruction &I, OriginId Origin);
+  /// Abstract locations interned to dense 1-based ids (0 means none), keyed
+  /// by the exact location.
+  struct LocTable {
+    HeapLocMap<uint32_t> Ids;
+    std::vector<HeapLoc> Locs;
+    uint32_t intern(const HeapLoc &L);
+  };
+
+  /// Id in \p T of the abstract location instruction \p I touches on an
+  /// object tagged \p Tag: (allocation site, \p Slot) for a field or
+  /// element, the location itself for a static pseudo-tag, 0 for an
+  /// untagged object. Memoized per instruction on the tag, so the steady
+  /// state skips both the tag's site division and the table probe.
+  uint32_t locOf(const Instruction &I, uint64_t Tag, FieldSlot Slot,
+                 LocTable &T);
+
+  NodeId hit(const Instruction &I, OriginId Origin) {
+    return G.hit(I.getId(), Origin);
+  }
   void edgeFrom(const ShadowVal &Src, NodeId To) {
     if (Src.N != kNoNode)
       G.addEdge(Src.N, To);
@@ -142,21 +158,12 @@ private:
     regs()[Dst] = {N, kBottomOrigin};
   }
 
-  /// Site of the object's allocation, recovered from the heap tag the
-  /// substrate's ALLOC rule wrote (kNoAllocSite when the object was
-  /// allocated untracked).
-  AllocSiteId siteOf(ObjId O) const {
-    uint64_t Tag = H->obj(O).Tag;
-    if (Tag == kNoTag || DepGraph::isStaticTag(Tag))
-      return kNoAllocSite;
-    return Sub->graph().tagSite(Tag);
-  }
-
-  static uint64_t chainKey(const HeapLoc &From, const HeapLoc &To) {
-    return (From.Tag * 4096 + From.Slot % 4096) * 2654435761ULL ^
-           (To.Tag * 4096 + To.Slot % 4096);
-  }
-  void recordChain(OriginId From, const HeapLoc &To, NodeId Store);
+  /// Store side: a value of origin \p Src stored into \p Tag's \p Slot by
+  /// node \p N completes a chain when both ends are known.
+  void storeCopy(const Instruction &I, OriginId Src, uint64_t Tag,
+                 FieldSlot Slot, NodeId N);
+  /// Counts one copy of chain (\p From origin, \p To destination id).
+  void recordChain(OriginId From, uint32_t To, NodeId Store);
 
   const SlicingProfiler *Sub = nullptr;
   DepGraph G;
@@ -164,10 +171,22 @@ private:
   ShadowMachine<ShadowVal> Sh;
   uint64_t CopyCount = 0;
 
-  std::vector<HeapLoc> OriginTable;
-  std::unordered_map<uint64_t, OriginId> OriginIds;
+  LocTable Origins;
+  /// Chain destinations, interned apart from origins so origin ids (which
+  /// node domains embed) do not depend on where values are stored.
+  LocTable Dests;
   std::vector<CopyChain> Chains;
-  std::unordered_map<uint64_t, size_t> ChainIndex;
+  /// (origin id, destination id) -> index into Chains.
+  FlatMap<uint64_t, uint32_t> ChainIndex;
+
+  /// locOf's memo, indexed by InstrId: the last tag seen and its id. The
+  /// vacant entry (kNoTag -> 0) is already the right answer for an
+  /// untagged object. Empty while the graph's hot-path memo is off.
+  struct TagMemo {
+    uint64_t Tag = kNoTag;
+    uint32_t Loc = 0;
+  };
+  std::vector<TagMemo> LocMemo;
 };
 
 } // namespace lud

@@ -6,6 +6,20 @@
 
 using namespace lud;
 
+NodeId DepGraph::hitSlow(InstrId Instr, uint32_t Domain) {
+  NodeId Id = getOrCreate(Instr, Domain);
+  ++Freqs[Id];
+  if (Instr < HitMemo.size())
+    HitMemo[Instr] = {Domain, Id};
+  return Id;
+}
+
+void DepGraph::insertEdge(uint64_t &Memo, uint64_t Key) {
+  if (HotPathMemo)
+    Memo = Key;
+  linkEdge(Key);
+}
+
 std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
   assert((Nodes.empty() || ContextSlots == O.ContextSlots) &&
          "merging graphs built with different context-slot counts");
@@ -36,9 +50,11 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
     }
   }
 
+  // The remap is injective and O has no self-edges, so no self-edge can
+  // appear here either.
   for (NodeId N = 0, E = NodeId(O.Nodes.size()); N != E; ++N)
     for (NodeId S : O.Nodes[N].Out)
-      addEdge(Remap[N], Remap[S]);
+      linkEdge(edgeKey(Remap[N], Remap[S]));
   for (auto [Store, Alloc] : O.RefEdges)
     addRefEdge(Remap[Store], Remap[Alloc]);
 

@@ -22,9 +22,12 @@
 /// rather than node-based std containers: Definition 2 bounds the node set
 /// by |I| x s, so the tables can be sized up front and every profiling
 /// event resolves its node and edge membership in O(1) probes on
-/// contiguous memory. addEdge additionally memoizes the last inserted edge
-/// key, because consecutive dynamic instances of the same static
-/// instruction pair produce the same abstract edge (see docs/PERFORMANCE.md).
+/// contiguous memory. Two memos sit in front of those tables, shared by
+/// every Gcost builder (the substrate and the three clients): hit() keeps
+/// the last (domain -> node) resolved per static instruction, and addEdge
+/// keeps recently inserted edge keys, because consecutive dynamic
+/// instances of the same static instruction pair produce the same abstract
+/// node and edge (see docs/PERFORMANCE.md).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -129,6 +132,44 @@ public:
     return Id;
   }
 
+  /// Node for (Instr, Domain) with its execution frequency bumped: the one
+  /// node-resolution path of every tracked event. The common case — the
+  /// static instruction re-executing under the domain element it last ran
+  /// with — is answered from a dense per-instruction memo without touching
+  /// the interning table. The memo is empty until sizeHitMemo() and while
+  /// the hot-path memo is off; ids and frequencies are the same either way.
+  NodeId hit(InstrId Instr, uint32_t Domain) {
+    if (Instr < HitMemo.size()) {
+      const InstrMemo &M = HitMemo[Instr];
+      if (M.Domain == Domain && M.Node != kNoNode) {
+        ++Freqs[M.Node];
+        return M.Node;
+      }
+    }
+    return hitSlow(Instr, Domain);
+  }
+
+  /// The context-free consumer node (predicate or native call) of \p Instr,
+  /// frequency bumped; its consumer kind is set when the node is first hit.
+  NodeId hitConsumer(InstrId Instr, ConsumerKind K) {
+    NodeId N = hit(Instr, kNoDomain);
+    if (Freqs[N] == 1)
+      Nodes[N].Consumer = K;
+    return N;
+  }
+
+  /// Sizes the hit memo for a module with \p NumInstrs static instructions
+  /// (8 bytes each); a no-op while the hot-path memo is off. Entries stay
+  /// valid across runs and merges: a memo entry only ever names the node
+  /// this graph interned for that (instruction, domain) key.
+  void sizeHitMemo(uint32_t NumInstrs) {
+    if (HotPathMemo && HitMemo.size() != NumInstrs)
+      HitMemo.assign(NumInstrs, InstrMemo{});
+  }
+  size_t hitMemoBytes() const {
+    return HitMemo.capacity() * sizeof(InstrMemo);
+  }
+
   /// Returns the node for (Instr, Domain) or kNoNode.
   NodeId lookup(InstrId Instr, uint32_t Domain) const {
     auto It = NodeByKey.find((uint64_t(Instr) << 32) | Domain);
@@ -145,24 +186,19 @@ public:
   size_t numRefEdges() const { return RefEdgeSet.size(); }
 
   /// Records a def-use edge From -> To (dedup'd). The direct-mapped memo of
-  /// recently seen edge keys short-circuits the duplicate case: a hot loop
-  /// re-executes the same static def-use pairs cyclically with the same
-  /// domain elements millions of times, and the loop body's edge working
-  /// set is tiny, so nearly every event hits the memo and skips the
-  /// interning table entirely.
+  /// recently seen edge keys short-circuits the duplicate case inline: a
+  /// hot loop re-executes the same static def-use pairs cyclically with the
+  /// same domain elements millions of times, and the loop body's edge
+  /// working set is tiny, so nearly every event hits the memo and never
+  /// leaves the caller. Only a memo miss pays for the out-of-line insert.
   void addEdge(NodeId From, NodeId To) {
     if (From == To)
       return;
     uint64_t Key = edgeKey(From, To);
     uint64_t &Memo = RecentEdges[(Key * 0x9E3779B97F4A7C15ULL) >>
                                  (64 - kRecentEdgeBits)];
-    if (HotPathMemo && Memo == Key)
-      return;
-    Memo = Key;
-    if (!EdgeSet.insert(Key))
-      return;
-    Nodes[From].Out.push_back(To);
-    Nodes[To].In.push_back(From);
+    if (Memo != Key)
+      insertEdge(Memo, Key);
   }
 
   /// Records a reference edge: heap-store node -> allocation node of the
@@ -179,13 +215,17 @@ public:
     return RefEdges;
   }
 
-  /// Enables/disables the edge memos (on by default; the cache-free
-  /// reference path of the equivalence tests turns them off).
+  /// Enables/disables the hit and edge memos (on by default; the
+  /// cache-free reference path of the equivalence tests turns them off).
+  /// Turning them off drops the hit memo; sizeHitMemo() rebuilds it.
   void setHotPathMemo(bool On) {
     HotPathMemo = On;
     RecentEdges.fill(~uint64_t(0));
     LastRefEdgeKey = ~uint64_t(0);
+    if (!On)
+      std::vector<InstrMemo>().swap(HitMemo);
   }
+  bool hotPathMemo() const { return HotPathMemo; }
 
   /// Pre-sizes the interning tables for a module with \p NumInstrs static
   /// instructions. Definition 2 bounds nodes by |I| x s, but CR ~ 0 means
@@ -292,6 +332,29 @@ public:
   }
 
 private:
+  /// Last (domain -> node) resolved for a static instruction; Node ==
+  /// kNoNode marks a vacant entry.
+  struct InstrMemo {
+    uint32_t Domain = kNoDomain;
+    NodeId Node = kNoNode;
+  };
+
+  /// hit() past the memo: intern, bump, remember.
+  NodeId hitSlow(InstrId Instr, uint32_t Domain);
+  /// addEdge() past the memo: \p Memo is the recent-edge entry \p Key
+  /// missed in.
+  void insertEdge(uint64_t &Memo, uint64_t Key);
+  /// Adds edge \p Key to the dedup set and, when new, to the adjacency
+  /// lists. mergeFrom calls it directly: the edges of one graph are
+  /// distinct, so the recent-edge memo could only miss.
+  void linkEdge(uint64_t Key) {
+    if (!EdgeSet.insert(Key))
+      return;
+    NodeId From = NodeId(Key >> 32), To = NodeId(Key);
+    Nodes[From].Out.push_back(To);
+    Nodes[To].In.push_back(From);
+  }
+
   static uint64_t edgeKey(NodeId A, NodeId B) {
     return (uint64_t(A) << 32) | B;
   }
@@ -317,6 +380,8 @@ private:
   std::vector<Node> Nodes;
   /// Execution frequencies, parallel to Nodes (see the Node doc comment).
   std::vector<uint64_t> Freqs;
+  /// hit()'s memo, indexed by InstrId.
+  std::vector<InstrMemo> HitMemo;
   FlatMap<uint64_t, NodeId> NodeByKey;
   FlatSet<uint64_t> EdgeSet;
   FlatSet<uint64_t> RefEdgeSet;
@@ -327,6 +392,7 @@ private:
   HeapLocMap<std::vector<uint64_t>> RefChildren;
   /// Direct-mapped cache of recently inserted edge keys. ~0 doubles as the
   /// vacant marker; it is never a real key (kNoNode is filtered upstream).
+  /// With the memo off no entry is ever written, so every lookup misses.
   /// 512 entries (4 KiB) covers the loop-body edge working set without
   /// crowding L1 — the duplicate-edge rate is ~10^5:1, so conflict misses
   /// here are the dominant residual cost of addEdge.

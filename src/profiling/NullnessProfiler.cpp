@@ -11,14 +11,9 @@
 
 using namespace lud;
 
-NodeId NullnessProfiler::hit(const Instruction &I, bool IsNull) {
-  NodeId N = G.getOrCreate(I.getId(), IsNull ? kNullDom : kNotNullDom);
-  ++G.freq(N);
-  return N;
-}
-
 void NullnessProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   Sh.startRun(Heap_, Mod.globals().size());
+  G.sizeHitMemo(Mod.getNumInstrs());
 }
 
 void NullnessProfiler::onEntryFrame(const Function &F) {
@@ -111,19 +106,13 @@ void NullnessProfiler::onArrayLen(const ArrayLenInst &I, ObjId) {
 }
 
 void NullnessProfiler::onPredicate(const CondBrInst &I, bool) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Predicate;
-  ++G.freq(N);
+  NodeId N = G.hitConsumer(I.getId(), ConsumerKind::Predicate);
   edgeFrom(regs()[I.Lhs], N);
   edgeFrom(regs()[I.Rhs], N);
 }
 
 void NullnessProfiler::onNativeCall(const NativeCallInst &I) {
-  NodeId N = G.getOrCreate(I.getId(), kNoDomain);
-  DepGraph::Node &Node = G.node(N);
-  Node.Consumer = ConsumerKind::Native;
-  ++G.freq(N);
+  NodeId N = G.hitConsumer(I.getId(), ConsumerKind::Native);
   for (Reg A : I.Args)
     edgeFrom(regs()[A], N);
   if (I.Dst != kNoReg)

@@ -92,7 +92,9 @@ private:
   NodeId *regs() { return Sh.regs(); }
 
   /// Creates/bumps the node for (I, null or not-null) and returns it.
-  NodeId hit(const Instruction &I, bool IsNull);
+  NodeId hit(const Instruction &I, bool IsNull) {
+    return G.hit(I.getId(), IsNull ? kNullDom : kNotNullDom);
+  }
 
   void edgeFrom(NodeId Src, NodeId To) {
     if (Src != kNoNode)

@@ -20,25 +20,13 @@ SlicingProfiler::SlicingProfiler(SlicingConfig Cfg)
 }
 
 NodeId SlicingProfiler::hit(const Instruction &I, uint32_t Domain) {
-  InstrId Instr = I.getId();
-  if (Instr < HitMemo.size()) {
-    InstrMemo &Memo = HitMemo[Instr];
-    if (Memo.Node != kNoNode && Memo.Domain == Domain) {
-      ++G.freq(Memo.Node);
-      return Memo.Node;
-    }
-  }
-  NodeId Id = G.getOrCreate(Instr, Domain);
-  uint64_t &F = G.freq(Id);
-  if (F == 0) {
+  NodeId Id = G.hit(I.getId(), Domain);
+  if (G.freq(Id) == 1) {
     DepGraph::Node &N = G.node(Id);
     N.ReadsHeap = I.readsHeap();
     N.WritesHeap = I.writesHeap();
     N.IsAlloc = I.isAlloc();
   }
-  ++F;
-  if (Instr < HitMemo.size())
-    HitMemo[Instr] = {Domain, Id};
   return Id;
 }
 
@@ -61,11 +49,9 @@ void SlicingProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   // (accumulating one graph), matching a merge of single-run profilers.
   HeapShadow.clear();
   PendingRet = kNoNode;
-  if (Cfg.HotPathCaches) {
-    if (HitMemo.size() != Mod.getNumInstrs())
-      HitMemo.assign(Mod.getNumInstrs(), InstrMemo{});
+  G.sizeHitMemo(Mod.getNumInstrs());
+  if (Cfg.HotPathCaches)
     G.reserveForRun(Mod.getNumInstrs());
-  }
   Enabled = (Cfg.TrackedPhaseMask & 1) != 0;
 }
 
@@ -375,8 +361,7 @@ void SlicingProfiler::onArrayLen(const ArrayLenInst &I, ObjId Base) {
 void SlicingProfiler::onPredicate(const CondBrInst &I, bool Taken) {
   if (!Enabled)
     return;
-  NodeId N = hit(I, kNoDomain);
-  G.node(N).Consumer = ConsumerKind::Predicate;
+  NodeId N = G.hitConsumer(I.getId(), ConsumerKind::Predicate);
   edgeFrom(regs()[I.Lhs], N);
   edgeFrom(regs()[I.Rhs], N);
   PredicateOutcome &O = predRef(N);
@@ -392,8 +377,7 @@ void SlicingProfiler::onNativeCall(const NativeCallInst &I) {
       regs()[I.Dst] = kNoNode;
     return;
   }
-  NodeId N = hit(I, kNoDomain);
-  G.node(N).Consumer = ConsumerKind::Native;
+  NodeId N = G.hitConsumer(I.getId(), ConsumerKind::Native);
   for (Reg A : I.Args)
     edgeFrom(regs()[A], N);
   if (I.Dst != kNoReg)
@@ -559,7 +543,7 @@ void SlicingProfiler::accountStats(obs::MetricsRegistry &R) const {
         StaticShadow.capacity() * sizeof(NodeId) +
             StaticStates.capacity() * sizeof(uint8_t));
 
-  size_t MemoBytes = HitMemo.capacity() * sizeof(InstrMemo) +
+  size_t MemoBytes = G.hitMemoBytes() +
                      NodeAct.capacity() * sizeof(ActMemo) +
                      NodePred.capacity() * sizeof(ActMemo);
   size_t CtxBytes = SeenContexts.capacity() * sizeof(FlatSet<uint64_t>);
@@ -604,6 +588,4 @@ void SlicingProfiler::mergeFrom(const SlicingProfiler &O) {
       SeenContexts[F].insert(C);
   if (!M)
     M = O.M;
-  // The hit memo refers to this graph's node ids, which a merge never
-  // renumbers, so it stays valid.
 }

@@ -51,10 +51,11 @@ struct SlicingConfig {
   bool ContextSensitive = true;
   /// Record distinct encoded contexts per function for CR (Table 1).
   bool TrackCR = true;
-  /// Hot-path memo caches: the per-instruction (domain -> node) memo, the
-  /// last-edge memo, and table pre-sizing from the module. Results are
-  /// bit-identical either way; turning this off selects the cache-free
-  /// reference path the equivalence tests compare against.
+  /// Hot-path memo caches: DepGraph's per-instruction (domain -> node) memo
+  /// and edge memos, the per-node location memos, and table pre-sizing
+  /// from the module. ProfileSession applies the same setting to the client
+  /// graphs. Results are bit-identical either way; turning this off selects
+  /// the cache-free reference path the equivalence tests compare against.
   bool HotPathCaches = true;
 };
 
@@ -182,10 +183,8 @@ private:
 
   uint32_t dom() const { return Cfg.ContextSensitive ? Ctx.slot() : 0; }
 
-  /// Node for (I, Domain), with flags initialized and frequency bumped.
-  /// The common case — this static instruction re-executing under the
-  /// domain element it was last seen with — is answered from HitMemo, a
-  /// dense vector indexed by InstrId, without touching the interning table.
+  /// Node for (I, Domain) via DepGraph::hit, with the instruction's heap
+  /// flags copied onto the node when it is first hit.
   NodeId hit(const Instruction &I, uint32_t Domain);
 
   void edgeFrom(NodeId Src, NodeId To) {
@@ -233,14 +232,6 @@ private:
   std::vector<FlatSet<uint64_t>> SeenContexts;
   FlatMap<NodeId, PredicateOutcome> PredOutcomes;
   HeapLocMap<LocationActivity> Activity;
-
-  /// Last (domain -> node) resolved per static instruction; Node==kNoNode
-  /// means no memo. Empty when Cfg.HotPathCaches is off.
-  struct InstrMemo {
-    uint32_t Domain = kNoDomain;
-    NodeId Node = kNoNode;
-  };
-  std::vector<InstrMemo> HitMemo;
 
   /// Per-node memo of the Activity slot for the node's current effect
   /// location, valid while the map generation matches (raw-slot API of

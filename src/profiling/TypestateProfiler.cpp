@@ -7,8 +7,20 @@
 
 using namespace lud;
 
-void TypestateProfiler::onRunStart(const Module &, Heap &Heap_) {
+void TypestateProfiler::onRunStart(const Module &Mod, Heap &Heap_) {
   H = &Heap_;
+  G.sizeHitMemo(Mod.getNumInstrs());
+  TrackedClass.assign(Mod.classes().size(), 0);
+  for (ClassId C : Spec.TrackedClasses)
+    if (C < TrackedClass.size())
+      TrackedClass[C] = 1;
+  InAlphabet.assign(Mod.methodNames().size(), 0);
+  for (const auto &[Key, To] : Spec.Transitions) {
+    uint32_t State = uint32_t(Key >> 32);
+    MethodNameId Method = MethodNameId(Key);
+    if (State < Spec.NumStates && Method < InAlphabet.size())
+      InAlphabet[Method] = 1;
+  }
 }
 
 void TypestateProfiler::ensure(ObjId O) {
@@ -20,7 +32,7 @@ void TypestateProfiler::ensure(ObjId O) {
 
 void TypestateProfiler::onAlloc(const AllocInst &I, ObjId O) {
   ensure(O);
-  if (!Spec.tracks(I.Class))
+  if (!tracks(I.Class))
     return;
   StateOf[O] = Spec.InitialState;
 }
@@ -29,37 +41,21 @@ void TypestateProfiler::onCallEnter(const CallInst &I, const Function &,
                                     ObjId Receiver) {
   if (Receiver == kNullObj || !I.isVirtual())
     return;
-  if (!Spec.tracks(H->obj(Receiver).Class))
+  if (!tracks(H->obj(Receiver).Class))
+    return;
+  // Only events in the protocol's alphabet are state-changing.
+  if (I.Method >= InAlphabet.size() || !InAlphabet[I.Method])
     return;
   AllocSiteId Site = siteOf(Receiver);
   if (Site == kNoAllocSite)
     return;
   ensure(Receiver);
-  // Only events in the protocol's alphabet are state-changing.
   uint32_t State = StateOf[Receiver];
-  bool InAlphabet = false;
-  for (uint32_t S = 0; S != Spec.NumStates && !InAlphabet; ++S)
-    InAlphabet = Spec.Transitions.count(TypestateSpec::key(S, I.Method)) != 0;
-  if (!InAlphabet)
-    return;
 
-  NodeId N = G.getOrCreate(I.getId(), domainOf(Site, State));
-  ++G.freq(N);
-  if (LastEvent[Receiver] != kNoNode &&
-      (Events.empty() || Events.back().From != LastEvent[Receiver] ||
-       Events.back().To != N || Events.back().Method != I.Method)) {
-    // Memorize the last event per object (Section 2.1); deduplicate the
-    // common repeat case cheaply, the full set below.
-    bool Seen = false;
-    for (const EventEdge &E : Events)
-      if (E.From == LastEvent[Receiver] && E.To == N &&
-          E.Method == I.Method) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
-      Events.push_back({LastEvent[Receiver], N, I.Method});
-  }
+  NodeId N = G.hit(I.getId(), domainOf(Site, State));
+  // Memorize the last event per object (Section 2.1).
+  if (LastEvent[Receiver] != kNoNode)
+    addEvent(LastEvent[Receiver], N, I.Method);
   LastEvent[Receiver] = N;
 
   auto It = Spec.Transitions.find(TypestateSpec::key(State, I.Method));
@@ -83,17 +79,8 @@ void TypestateProfiler::mergeFrom(const TypestateProfiler &O) {
   std::vector<NodeId> Remap = G.mergeFrom(O.G);
   for (const TypestateViolation &V : O.Violations)
     Violations.push_back(V);
-  for (const EventEdge &E : O.Events) {
-    EventEdge R{Remap[E.From], Remap[E.To], E.Method};
-    bool Seen = false;
-    for (const EventEdge &X : Events)
-      if (X.From == R.From && X.To == R.To && X.Method == R.Method) {
-        Seen = true;
-        break;
-      }
-    if (!Seen)
-      Events.push_back(R);
-  }
+  for (const EventEdge &E : O.Events)
+    addEvent(Remap[E.From], Remap[E.To], E.Method);
 }
 
 std::string TypestateProfiler::describeHistory(const Module &Mod) const {

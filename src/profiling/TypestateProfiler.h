@@ -56,12 +56,6 @@ struct TypestateSpec {
   void addTransition(uint32_t From, MethodNameId Method, uint32_t To) {
     Transitions[key(From, Method)] = To;
   }
-  bool tracks(ClassId C) const {
-    for (ClassId T : TrackedClasses)
-      if (T == C)
-        return true;
-    return false;
-  }
 };
 
 /// Derives a generic resource-lifecycle protocol from the module, for use
@@ -140,8 +134,24 @@ private:
   std::vector<NodeId> LastEvent;        // per ObjId
   std::vector<TypestateViolation> Violations;
   std::vector<EventEdge> Events;
+  /// (From, To) of every next-event edge, for O(1) dedup. The method needs
+  /// no place in the key: To's call instruction fixes it.
+  FlatSet<uint64_t> EventKeys;
+  /// Spec lookups precomputed per module at run start, indexed by ClassId
+  /// and MethodNameId: the tracked classes, and the protocol's alphabet
+  /// (methods with a transition out of some state).
+  std::vector<uint8_t> TrackedClass;
+  std::vector<uint8_t> InAlphabet;
 
   void ensure(ObjId O);
+  bool tracks(ClassId C) const {
+    return C < TrackedClass.size() && TrackedClass[C];
+  }
+  /// Appends next-event edge From -> To unless it is already recorded.
+  void addEvent(NodeId From, NodeId To, MethodNameId Method) {
+    if (EventKeys.insert((uint64_t(From) << 32) | To))
+      Events.push_back({From, To, Method});
+  }
   /// Receiver's allocation site from its substrate-written heap tag
   /// (kNoAllocSite when untagged — allocated before tracking).
   AllocSiteId siteOf(ObjId O) const {

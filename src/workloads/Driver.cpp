@@ -59,14 +59,22 @@ void ProfileSession::ensureProfilers(const Module &M) {
     Cfg.Instrument = true; // Clients read the substrate's heap tags.
   if (Cfg.Instrument && !Slicing)
     Slicing = std::make_unique<SlicingProfiler>(Cfg.Slicing);
-  if (Cfg.Clients.hasCopy() && !Copy)
+  // The client graphs follow the substrate's HotPathCaches setting, so the
+  // cache-free reference path covers every Gcost builder.
+  bool Memo = Cfg.Slicing.HotPathCaches;
+  if (Cfg.Clients.hasCopy() && !Copy) {
     Copy = std::make_unique<CopyProfiler>(*Slicing);
-  if (Cfg.Clients.hasNullness() && !Null)
+    Copy->graph().setHotPathMemo(Memo);
+  }
+  if (Cfg.Clients.hasNullness() && !Null) {
     Null = std::make_unique<NullnessProfiler>();
+    Null->graph().setHotPathMemo(Memo);
+  }
   if (Cfg.Clients.hasTypestate() && !Type) {
     TypestateSpec Spec =
         Cfg.Typestate.NumStates ? Cfg.Typestate : lifecycleSpec(M);
     Type = std::make_unique<TypestateProfiler>(std::move(Spec), *Slicing);
+    Type->graph().setHotPathMemo(Memo);
   }
 }
 

@@ -4,6 +4,7 @@
 
 #include "analysis/Report.h"
 #include "ir/IRBuilder.h"
+#include "ir/Parser.h"
 #include "profiling/CopyProfiler.h"
 #include "profiling/NullnessProfiler.h"
 #include "profiling/TypestateProfiler.h"
@@ -411,6 +412,77 @@ TEST(CopyProfilerTest, CountsAccumulateAcrossIterations) {
   EXPECT_EQ(P.chains()[0].From.Tag, cast<AllocArrayInst>(SrcAlloc)->Site);
   EXPECT_EQ(P.chains()[0].To.Tag, cast<AllocArrayInst>(DstAlloc)->Site);
   EXPECT_EQ(P.chains()[0].From.Slot, kElemSlot);
+}
+
+TEST(CopyProfilerTest, StaticOriginDoesNotAliasFieldSlotZero) {
+  // Global g0 and field slot 0 of allocation site 0 once interned to the
+  // same origin: the key Tag*4096+Slot wraps the static pseudo-tag 2^62+0
+  // to 0, so the chain below was reported as starting at static#0.
+  std::vector<std::string> Errors;
+  std::unique_ptr<Module> M = parseModule(R"(global g0: int
+
+class A {
+  x: int;
+}
+
+class B {
+  p: int;
+}
+
+func main() regs 5 {
+bb0:
+  r0 = new A
+  r1 = new B
+  r2 = @g0
+  r3 = r0.A::x
+  r1.B::p = r3
+  r4 = iconst 0
+  ret r4
+}
+)",
+                                          Errors);
+  ASSERT_TRUE(M) << (Errors.empty() ? "" : Errors.front());
+
+  CopyPipeline CP;
+  ASSERT_EQ(CP.run(*M).Status, RunStatus::Finished);
+  ASSERT_EQ(CP.P.chains().size(), 1u);
+  const CopyProfiler::CopyChain &Chain = CP.P.chains()[0];
+  EXPECT_FALSE(DepGraph::isStaticTag(Chain.From.Tag));
+  EXPECT_EQ(Chain.From, (HeapLoc{0, 0}));
+  StringOutStream OS;
+  printCopyChains(CP.P, *M, OS);
+  EXPECT_NE(OS.str().find("new A @ main #0.x  ->  new B @ main #1.p"),
+            std::string::npos)
+      << OS.str();
+}
+
+TEST(CopyProfilerTest, WideFieldSlotsDoNotAlias) {
+  // Slots 0 and 4096 of one allocation site once shared the key
+  // Site*4096 + Slot%4096; each must keep its own origin and chain.
+  Module M;
+  ClassDecl *A = M.addClass("A");
+  for (int F = 0; F <= 4096; ++F)
+    A->addField("f" + std::to_string(F), Type::makeInt());
+  ClassDecl *Dst = M.addClass("D");
+  Dst->addField("lo", Type::makeInt());
+  Dst->addField("hi", Type::makeInt());
+  IRBuilder B(M);
+  B.beginFunction("main", 0);
+  Reg O = B.alloc(A->getId());
+  Reg D = B.alloc(Dst->getId());
+  B.storeField(D, Dst->getId(), "lo", B.loadField(O, A->getId(), "f0"));
+  B.storeField(D, Dst->getId(), "hi", B.loadField(O, A->getId(), "f4096"));
+  B.ret();
+  B.endFunction();
+  M.finalize();
+
+  CopyPipeline CP;
+  ASSERT_EQ(CP.run(M).Status, RunStatus::Finished);
+  const std::vector<CopyProfiler::CopyChain> &Chains = CP.P.chains();
+  ASSERT_EQ(Chains.size(), 2u);
+  EXPECT_EQ(Chains[0].From.Slot, 0u);
+  EXPECT_EQ(Chains[1].From.Slot, 4096u);
+  EXPECT_NE(Chains[0].To, Chains[1].To);
 }
 
 //===----------------------------------------------------------------------===

@@ -5,6 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
 using namespace lud;
 
 namespace {
@@ -101,6 +104,145 @@ TEST(DepGraphTest, MemoryFootprintGrowsWithContent) {
   EXPECT_EQ(F.total(), F.NodeBytes + F.EdgeBytes + F.LocMapBytes);
   EXPECT_GT(F.NodeBytes, 0u);
   EXPECT_GT(F.EdgeBytes, 0u);
+}
+
+//===----------------------------------------------------------------------===
+// DepGraph::hit: the shared node-resolution path and its per-instruction
+// memo. Every case also runs with the memo off; ids and frequencies must
+// not depend on it.
+//===----------------------------------------------------------------------===
+
+/// Node ids and frequencies in id order, for on/off comparisons.
+std::vector<std::pair<uint64_t, uint64_t>> snapshot(const DepGraph &G) {
+  std::vector<std::pair<uint64_t, uint64_t>> Out;
+  for (NodeId N = 0; N != NodeId(G.numNodes()); ++N)
+    Out.push_back({(uint64_t(G.node(N).Instr) << 32) | G.node(N).Domain,
+                   G.freq(N)});
+  return Out;
+}
+
+DepGraph memoGraph(bool Memo, uint32_t NumInstrs = 16) {
+  DepGraph G;
+  G.setHotPathMemo(Memo);
+  G.sizeHitMemo(NumInstrs);
+  return G;
+}
+
+TEST(DepGraphHitTest, MemoHitBumpsTheSameNode) {
+  for (bool Memo : {true, false}) {
+    DepGraph G = memoGraph(Memo);
+    NodeId A = G.hit(3, 0);
+    EXPECT_EQ(G.hit(3, 0), A);
+    EXPECT_EQ(G.hit(3, 0), A);
+    EXPECT_EQ(G.numNodes(), 1u);
+    EXPECT_EQ(G.freq(A), 3u);
+    EXPECT_EQ(G.lookup(3, 0), A);
+  }
+}
+
+TEST(DepGraphHitTest, DomainChangeAtOneInstruction) {
+  std::vector<std::pair<uint64_t, uint64_t>> Snap[2];
+  for (bool Memo : {true, false}) {
+    DepGraph G = memoGraph(Memo);
+    NodeId A = G.hit(3, 0);
+    NodeId B = G.hit(3, 1);
+    EXPECT_NE(A, B);
+    EXPECT_EQ(G.hit(3, 0), A); // Back to the first domain: memo missed.
+    EXPECT_EQ(G.hit(3, 0), A);
+    EXPECT_EQ(G.hit(3, 1), B);
+    EXPECT_EQ(G.freq(A), 3u);
+    EXPECT_EQ(G.freq(B), 2u);
+    Snap[Memo] = snapshot(G);
+  }
+  EXPECT_EQ(Snap[0], Snap[1]);
+}
+
+TEST(DepGraphHitTest, ConsumerNodes) {
+  for (bool Memo : {true, false}) {
+    DepGraph G = memoGraph(Memo);
+    NodeId P = G.hitConsumer(5, ConsumerKind::Predicate);
+    EXPECT_EQ(G.hitConsumer(5, ConsumerKind::Predicate), P);
+    NodeId N = G.hitConsumer(6, ConsumerKind::Native);
+    EXPECT_NE(P, N);
+    EXPECT_EQ(G.node(P).Domain, kNoDomain);
+    EXPECT_EQ(G.node(P).Consumer, ConsumerKind::Predicate);
+    EXPECT_EQ(G.node(N).Consumer, ConsumerKind::Native);
+    EXPECT_EQ(G.freq(P), 2u);
+    // kNoDomain is an ordinary memo key: a plain hit finds the same node.
+    EXPECT_EQ(G.hit(5, kNoDomain), P);
+    EXPECT_EQ(G.freq(P), 3u);
+  }
+}
+
+TEST(DepGraphHitTest, InstructionsPastTheMemoStillResolve) {
+  DepGraph G = memoGraph(true, /*NumInstrs=*/4);
+  NodeId A = G.hit(100, 2);
+  EXPECT_EQ(G.hit(100, 2), A);
+  EXPECT_EQ(G.freq(A), 2u);
+}
+
+TEST(DepGraphHitTest, MemoStaysValidAfterMerge) {
+  std::vector<std::pair<uint64_t, uint64_t>> Snap[2];
+  for (bool Memo : {true, false}) {
+    DepGraph G = memoGraph(Memo);
+    NodeId A = G.hit(1, 0);
+    NodeId B = G.hit(2, 7);
+    G.addEdge(A, B);
+
+    // A later shard that saw (2, 7) first and then new keys.
+    DepGraph O = memoGraph(Memo);
+    O.hit(2, 7);
+    O.hit(4, 0);
+    O.hit(1, 3);
+    std::vector<NodeId> Remap = G.mergeFrom(O);
+    EXPECT_EQ(Remap[0], B);
+
+    // Existing ids are untouched, so the memoized entries still answer;
+    // merged-in nodes resolve to their merged ids.
+    EXPECT_EQ(G.hit(1, 0), A);
+    EXPECT_EQ(G.hit(2, 7), B);
+    EXPECT_EQ(G.hit(4, 0), Remap[1]);
+    EXPECT_EQ(G.hit(1, 3), Remap[2]);
+    EXPECT_EQ(G.freq(B), 3u);
+    EXPECT_EQ(G.freq(Remap[1]), 2u);
+    Snap[Memo] = snapshot(G);
+  }
+  EXPECT_EQ(Snap[0], Snap[1]);
+}
+
+TEST(DepGraphHitTest, MemoOffBypassesTheMemo) {
+  DepGraph G;
+  G.sizeHitMemo(64);
+  EXPECT_EQ(G.hitMemoBytes(), 64u * 8u);
+  G.setHotPathMemo(false);
+  EXPECT_FALSE(G.hotPathMemo());
+  EXPECT_EQ(G.hitMemoBytes(), 0u);
+  G.sizeHitMemo(64); // No-op while the memo is off.
+  EXPECT_EQ(G.hitMemoBytes(), 0u);
+
+  // A pseudo-random event stream gives identical graphs either way.
+  DepGraph On = memoGraph(true, 32), Off = memoGraph(false, 32);
+  uint64_t X = 12345;
+  NodeId PrevOn = kNoNode, PrevOff = kNoNode;
+  for (int I = 0; I != 5000; ++I) {
+    X = X * 6364136223846793005ULL + 1442695040888963407ULL;
+    InstrId Instr = InstrId((X >> 33) % 40); // Some past the memo.
+    uint32_t Dom = uint32_t((X >> 20) % 3);
+    NodeId NOn = On.hit(Instr, Dom), NOff = Off.hit(Instr, Dom);
+    ASSERT_EQ(NOn, NOff);
+    if (PrevOn != kNoNode) {
+      On.addEdge(PrevOn, NOn);
+      Off.addEdge(PrevOff, NOff);
+    }
+    PrevOn = NOn;
+    PrevOff = NOff;
+  }
+  EXPECT_EQ(snapshot(On), snapshot(Off));
+  EXPECT_EQ(On.numEdges(), Off.numEdges());
+  for (NodeId N = 0; N != NodeId(On.numNodes()); ++N) {
+    EXPECT_EQ(On.node(N).Out, Off.node(N).Out);
+    EXPECT_EQ(On.node(N).In, Off.node(N).In);
+  }
 }
 
 TEST(ContextEncoderTest, ChainsEncodeIncrementally) {

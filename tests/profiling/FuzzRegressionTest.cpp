@@ -13,6 +13,7 @@
 
 #include "profiling/GraphIO.h"
 #include "support/OutStream.h"
+#include "workloads/DaCapo.h"
 #include "workloads/Driver.h"
 #include "workloads/RandomProgram.h"
 
@@ -30,13 +31,19 @@ constexpr ClientSet kAllClients = ClientSet::all();
 struct Artifacts {
   RunResult Run;
   std::string Graph;
+  /// The three client graphs, serialized back to back: the caches now
+  /// cover every Gcost builder, so node ids and frequencies of the client
+  /// graphs are pinned too, not only what the reports print.
+  std::string ClientGraphs;
   std::string Reports;
 };
 
-Artifacts runWithCaches(const Module &M, bool Caches, uint32_t Slots) {
+Artifacts runWithCaches(const Module &M, bool Caches, uint32_t Slots,
+                        EngineKind Engine = EngineKind::Interp) {
   SessionConfig Cfg;
   Cfg.Instrument = true;
   Cfg.Clients = kAllClients;
+  Cfg.Engine = Engine;
   Cfg.Slicing.HotPathCaches = Caches;
   Cfg.Slicing.ContextSlots = Slots;
   ProfileSession S(Cfg);
@@ -46,10 +53,31 @@ Artifacts runWithCaches(const Module &M, bool Caches, uint32_t Slots) {
   if (S.slicing())
     writeGraph(S.slicing()->graph(), GS);
   A.Graph = GS.str();
+  StringOutStream CS;
+  if (S.copy())
+    writeGraph(S.copy()->graph(), CS);
+  if (S.nullness())
+    writeGraph(S.nullness()->graph(), CS);
+  if (S.typestate())
+    writeGraph(S.typestate()->graph(), CS);
+  A.ClientGraphs = CS.str();
   StringOutStream RS;
   S.printClientReports(M, RS);
   A.Reports = RS.str();
   return A;
+}
+
+void expectSame(const Artifacts &On, const Artifacts &Off,
+                const std::string &What) {
+  EXPECT_EQ(On.Run.Status, Off.Run.Status) << What;
+  EXPECT_EQ(On.Run.ExecutedInstrs, Off.Run.ExecutedInstrs) << What;
+  EXPECT_EQ(On.Run.SinkHash, Off.Run.SinkHash) << What;
+  EXPECT_EQ(On.Graph, Off.Graph)
+      << What << ": Gcost depends on HotPathCaches";
+  EXPECT_EQ(On.ClientGraphs, Off.ClientGraphs)
+      << What << ": client graphs depend on HotPathCaches";
+  EXPECT_EQ(On.Reports, Off.Reports)
+      << What << ": client reports depend on HotPathCaches";
 }
 
 std::unique_ptr<Module> fuzzShape(uint64_t Seed) {
@@ -72,17 +100,20 @@ TEST(FuzzRegressionTest, HotPathCachesAreObservationFree) {
       std::unique_ptr<Module> M = fuzzShape(Seed);
       Artifacts On = runWithCaches(*M, /*Caches=*/true, Slots);
       Artifacts Off = runWithCaches(*M, /*Caches=*/false, Slots);
-
-      EXPECT_EQ(On.Run.Status, Off.Run.Status) << "seed " << Seed;
-      EXPECT_EQ(On.Run.ExecutedInstrs, Off.Run.ExecutedInstrs)
-          << "seed " << Seed;
-      EXPECT_EQ(On.Run.SinkHash, Off.Run.SinkHash) << "seed " << Seed;
-      EXPECT_EQ(On.Graph, Off.Graph)
-          << "seed " << Seed << " slots " << Slots
-          << ": Gcost depends on HotPathCaches";
-      EXPECT_EQ(On.Reports, Off.Reports)
-          << "seed " << Seed << " slots " << Slots
-          << ": client reports depend on HotPathCaches";
+      expectSame(On, Off,
+                 "seed " + std::to_string(Seed) + " slots " +
+                     std::to_string(Slots));
+    }
+  }
+  // Every DaCapo analogue on both engines, all clients enabled.
+  for (const std::string &Name : dacapoNames()) {
+    Workload W = buildWorkload(Name, 80);
+    for (EngineKind E : {EngineKind::Interp, EngineKind::Threaded}) {
+      Artifacts On = runWithCaches(*W.M, /*Caches=*/true, 16, E);
+      Artifacts Off = runWithCaches(*W.M, /*Caches=*/false, 16, E);
+      EXPECT_FALSE(On.ClientGraphs.empty()) << Name;
+      expectSame(On, Off,
+                 Name + (E == EngineKind::Interp ? " interp" : " threaded"));
     }
   }
 }
