@@ -17,7 +17,7 @@
 
 #include "BenchUtil.h"
 
-#include "analysis/CostModel.h"
+#include "profiling/FrozenGraph.h"
 
 #include <benchmark/benchmark.h>
 
@@ -27,11 +27,11 @@ using namespace lud::bench;
 namespace {
 
 /// Mean backward-slice size (node count) over all heap-store nodes.
-double meanStoreSliceNodes(const DepGraph &G) {
-  CostModel CM(G);
+double meanStoreSliceNodes(const DepGraph &DG) {
+  const FrozenGraph G(DG);
   uint64_t Total = 0, Count = 0;
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
-    if (!G.node(N).WritesHeap)
+    if (!G.writesHeap(N))
       continue;
     // Count visited nodes: reuse abstractCost with unit weights by walking
     // manually here (frequencies would conflate size with heat).
@@ -43,7 +43,7 @@ double meanStoreSliceNodes(const DepGraph &G) {
       NodeId X = Work.back();
       Work.pop_back();
       ++Size;
-      for (NodeId P : G.node(X).In)
+      for (NodeId P : G.in(X))
         if (!Seen[P]) {
           Seen[P] = true;
           Work.push_back(P);

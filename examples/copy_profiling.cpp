@@ -15,6 +15,7 @@
 #include "ir/IRBuilder.h"
 #include "ir/Printer.h"
 #include "profiling/CopyProfiler.h"
+#include "profiling/FrozenGraph.h"
 #include "support/OutStream.h"
 #include "workloads/Driver.h"
 
@@ -94,11 +95,12 @@ int main() {
   };
 
   OS << "=== heap-to-heap copy chains ===\n";
+  const FrozenGraph Sealed(P.graph());
   for (const CopyProfiler::CopyChain &Chain : P.chains()) {
     OS << "  " << locName(Chain.From) << "  ->  " << locName(Chain.To)
        << "   x" << Chain.Count << "\n";
     OS << "    via stack hops:\n";
-    for (InstrId Hop : P.stackHops(Chain))
+    for (InstrId Hop : CopyProfiler::stackHops(Chain, Sealed))
       OS << "      " << M.getInstrFunction(Hop)->getName() << ": "
          << instToString(M, *M.getInstr(Hop)) << "\n";
   }

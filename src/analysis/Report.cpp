@@ -5,6 +5,7 @@
 #include "ir/Module.h"
 #include "ir/Printer.h"
 #include "profiling/CopyProfiler.h"
+#include "profiling/FrozenGraph.h"
 #include "profiling/NullnessProfiler.h"
 #include "profiling/TypestateProfiler.h"
 #include "support/OutStream.h"
@@ -155,6 +156,7 @@ void lud::printCopyChains(const CopyProfiler &P, const Module &M,
     OS << "  (no heap-to-heap copy chains)\n";
     return;
   }
+  const FrozenGraph Sealed(P.graph());
   std::vector<size_t> Order(P.chains().size());
   std::iota(Order.begin(), Order.end(), size_t(0));
   std::stable_sort(Order.begin(), Order.end(), [&](size_t A, size_t B) {
@@ -165,7 +167,7 @@ void lud::printCopyChains(const CopyProfiler &P, const Module &M,
     OS << "  " << heapLocName(M, Chain.From) << "  ->  "
        << heapLocName(M, Chain.To) << "   x" << Chain.Count << "\n";
     OS << "    via stack hops:\n";
-    for (InstrId Hop : P.stackHops(Chain))
+    for (InstrId Hop : CopyProfiler::stackHops(Chain, Sealed))
       OS << "      " << instrAt(M, Hop) << "\n";
   }
 }

@@ -5,6 +5,7 @@
 #include "ir/Function.h"
 #include "ir/Module.h"
 #include "obs/Metrics.h"
+#include "profiling/FrozenGraph.h"
 
 #include <cassert>
 
@@ -232,19 +233,20 @@ void CopyProfiler::mergeFrom(const CopyProfiler &O) {
   }
 }
 
-std::vector<InstrId> CopyProfiler::stackHops(const CopyChain &Chain) const {
+std::vector<InstrId> CopyProfiler::stackHops(const CopyChain &Chain,
+                                             const FrozenGraph &Sealed) {
   std::vector<InstrId> Hops;
   // Follow same-origin predecessors from the final store back to the load
   // that started the chain.
-  OriginId Origin = G.node(Chain.StoreNode).Domain;
+  OriginId Origin = Sealed.domain(Chain.StoreNode);
   NodeId N = Chain.StoreNode;
-  std::vector<bool> Seen(G.numNodes(), false);
+  std::vector<bool> Seen(Sealed.numNodes(), false);
   while (N != kNoNode && !Seen[N]) {
     Seen[N] = true;
-    Hops.push_back(G.node(N).Instr);
+    Hops.push_back(Sealed.instr(N));
     NodeId Next = kNoNode;
-    for (NodeId P : G.node(N).In) {
-      if (G.node(P).Domain == Origin) {
+    for (NodeId P : Sealed.in(N)) {
+      if (Sealed.domain(P) == Origin) {
         Next = P;
         break;
       }

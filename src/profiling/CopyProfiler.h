@@ -36,6 +36,7 @@
 
 namespace lud {
 
+class FrozenGraph;
 class Module;
 
 /// Interned origin: the ⊥ element is 0 ("not from any field").
@@ -75,8 +76,10 @@ public:
 
   /// Walks backward from a chain's store node through nodes with the same
   /// origin annotation, returning the intermediate copy instructions
-  /// (store first, the load that started the chain last).
-  std::vector<InstrId> stackHops(const CopyChain &Chain) const;
+  /// (store first, the load that started the chain last). \p Sealed is
+  /// graph() sealed; a report seals it once for all its chains.
+  static std::vector<InstrId> stackHops(const CopyChain &Chain,
+                                        const FrozenGraph &Sealed);
 
   /// Writes this client's state-derived telemetry (`copy.*` gauges) into
   /// \p R. Idempotent set()s; see SlicingProfiler::accountStats.

@@ -52,9 +52,12 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
 
   // The remap is injective and O has no self-edges, so no self-edge can
   // appear here either.
+  std::vector<uint32_t> Offsets;
+  std::vector<NodeId> Targets;
+  O.edgeBuckets(/*BySource=*/true, Offsets, Targets);
   for (NodeId N = 0, E = NodeId(O.Nodes.size()); N != E; ++N)
-    for (NodeId S : O.Nodes[N].Out)
-      linkEdge(edgeKey(Remap[N], Remap[S]));
+    for (uint32_t I = Offsets[N]; I != Offsets[N + 1]; ++I)
+      linkEdge(edgeKey(Remap[N], Remap[Targets[I]]));
   for (auto [Store, Alloc] : O.RefEdges)
     addRefEdge(Remap[Store], Remap[Alloc]);
 
@@ -72,17 +75,38 @@ std::vector<NodeId> DepGraph::mergeFrom(const DepGraph &O) {
   return Remap;
 }
 
+void DepGraph::edgeBuckets(bool BySource, std::vector<uint32_t> &Offsets,
+                           std::vector<NodeId> &Adj) const {
+  auto Bucket = [BySource](uint64_t Key) {
+    return BySource ? edgeSource(Key) : edgeTarget(Key);
+  };
+  auto Neighbour = [BySource](uint64_t Key) {
+    return BySource ? edgeTarget(Key) : edgeSource(Key);
+  };
+  Offsets.assign(Nodes.size() + 1, 0);
+  for (uint64_t Key : EdgeLog)
+    ++Offsets[Bucket(Key) + 1];
+  for (size_t N = 1; N < Offsets.size(); ++N)
+    Offsets[N] += Offsets[N - 1];
+  Adj.resize(EdgeLog.size());
+  // Offsets[N] is bucket N's cursor while scattering; it ends on the
+  // bucket's end, i.e. the next bucket's start, so shifting the array up
+  // one slot restores the starts.
+  for (uint64_t Key : EdgeLog)
+    Adj[Offsets[Bucket(Key)]++] = Neighbour(Key);
+  for (size_t N = Offsets.size() - 1; N != 0; --N)
+    Offsets[N] = Offsets[N - 1];
+  Offsets[0] = 0;
+}
+
 DepGraph::MemoryFootprint DepGraph::memoryFootprint() const {
   MemoryFootprint F;
   F.NodeBytes = Nodes.capacity() * sizeof(Node) +
                 Freqs.capacity() * sizeof(uint64_t);
-  for (const Node &N : Nodes)
-    F.NodeBytes += (N.In.capacity() + N.Out.capacity()) * sizeof(NodeId);
-  F.NodeBytes += NodeByKey.memoryBytes();
-  F.EdgeBytes = EdgeSet.memoryBytes() + RefEdgeSet.memoryBytes() +
+  F.EdgeBytes = EdgeLog.capacity() * sizeof(uint64_t) +
                 RefEdges.capacity() * sizeof(std::pair<NodeId, NodeId>);
-  F.LocMapBytes = Writers.memoryBytes() + Readers.memoryBytes() +
-                  RefChildren.memoryBytes() + AllocNodeByTag.memoryBytes();
+  F.LocMapBytes =
+      Writers.memoryBytes() + Readers.memoryBytes() + RefChildren.memoryBytes();
   for (const auto &[L, V] : Writers)
     F.LocMapBytes += V.capacity() * sizeof(NodeId);
   for (const auto &[L, V] : Readers)

@@ -96,7 +96,8 @@ public:
   /// array (freq()) rather than here: the frequency bump is the single
   /// hottest graph touch (once per tracked instruction instance), and at
   /// 8 bytes per node the counters of a whole loop body stay in L1, where
-  /// the ~100-byte Node records would not.
+  /// the 40-byte Node records would not. Adjacency is not here either: the
+  /// graph keeps one edge log (edges()), bucketed per node at seal.
   struct Node {
     InstrId Instr = kNoInstr;
     uint32_t Domain = kNoDomain;
@@ -115,8 +116,6 @@ public:
     /// value flow — consumers of this fact: the optimizer must not treat
     /// such stores as removable dead values.
     bool StoredRef = false;
-    std::vector<NodeId> In;
-    std::vector<NodeId> Out;
   };
 
   /// Returns the node for (Instr, Domain), creating it on first use.
@@ -182,8 +181,26 @@ public:
   uint64_t &freq(NodeId N) { return Freqs[N]; }
   uint64_t freq(NodeId N) const { return Freqs[N]; }
   size_t numNodes() const { return Nodes.size(); }
-  size_t numEdges() const { return EdgeSet.size(); }
+  size_t numEdges() const { return EdgeLog.size(); }
   size_t numRefEdges() const { return RefEdgeSet.size(); }
+
+  /// True if the def-use edge From -> To has been recorded.
+  bool hasEdge(NodeId From, NodeId To) const {
+    return EdgeSet.contains(edgeKey(From, To));
+  }
+
+  /// The def-use edges in first-insertion order, as (From << 32) | To keys.
+  /// Each node's out- and in-edges are the log's entries with that source
+  /// or target, in log order; edgeBuckets() groups them.
+  const std::vector<uint64_t> &edges() const { return EdgeLog; }
+  static NodeId edgeSource(uint64_t Key) { return NodeId(Key >> 32); }
+  static NodeId edgeTarget(uint64_t Key) { return NodeId(Key); }
+
+  /// Buckets the edge log by source (BySource) or by target with a stable
+  /// counting sort: node N's neighbours are Adj[Offsets[N], Offsets[N+1]),
+  /// in first-insertion order.
+  void edgeBuckets(bool BySource, std::vector<uint32_t> &Offsets,
+                   std::vector<NodeId> &Adj) const;
 
   /// Records a def-use edge From -> To (dedup'd). The direct-mapped memo of
   /// recently seen edge keys short-circuits the duplicate case inline: a
@@ -236,6 +253,7 @@ public:
     Freqs.reserve(NumInstrs);
     NodeByKey.reserve(NumInstrs);
     EdgeSet.reserve(size_t(NumInstrs) * 2);
+    EdgeLog.reserve(size_t(NumInstrs) * 2);
   }
 
   //===--------------------------------------------------------------------===
@@ -304,7 +322,9 @@ public:
 
   /// Merges \p O into this graph: nodes are re-interned by their
   /// (instruction, domain) key, frequencies are summed, edges and the
-  /// location/decoration maps are unioned, and last-writer-wins fields
+  /// location/decoration maps are unioned (O's new edges join the log
+  /// grouped by O's source id, each source's in O's order — the in-edge
+  /// order stackHops and traceNullOrigin walk), and last-writer-wins fields
   /// (Effect, EffectLoc, allocation nodes) take \p O's value, treating \p O
   /// as the later of two sequential runs. Returns the node renumbering
   /// (O's NodeId -> this graph's NodeId) so profiler-level per-node state
@@ -313,7 +333,7 @@ public:
 
   /// Approximate resident bytes of the retained graph (Table 1's M column:
   /// nodes, edges, location maps; excludes the shadow heap, as the paper's
-  /// M column does).
+  /// M column does, and the interning tables internTableBytes() counts).
   struct MemoryFootprint {
     size_t NodeBytes = 0;
     size_t EdgeBytes = 0;
@@ -344,15 +364,12 @@ private:
   /// addEdge() past the memo: \p Memo is the recent-edge entry \p Key
   /// missed in.
   void insertEdge(uint64_t &Memo, uint64_t Key);
-  /// Adds edge \p Key to the dedup set and, when new, to the adjacency
-  /// lists. mergeFrom calls it directly: the edges of one graph are
-  /// distinct, so the recent-edge memo could only miss.
+  /// Adds edge \p Key to the dedup set and, when new, to the edge log.
+  /// mergeFrom calls it directly: the edges of one graph are distinct, so
+  /// the recent-edge memo could only miss.
   void linkEdge(uint64_t Key) {
-    if (!EdgeSet.insert(Key))
-      return;
-    NodeId From = NodeId(Key >> 32), To = NodeId(Key);
-    Nodes[From].Out.push_back(To);
-    Nodes[To].In.push_back(From);
+    if (EdgeSet.insert(Key))
+      EdgeLog.push_back(Key);
   }
 
   static uint64_t edgeKey(NodeId A, NodeId B) {
@@ -384,6 +401,8 @@ private:
   std::vector<InstrMemo> HitMemo;
   FlatMap<uint64_t, NodeId> NodeByKey;
   FlatSet<uint64_t> EdgeSet;
+  /// Every edge EdgeSet admitted, in insertion order (see edges()).
+  std::vector<uint64_t> EdgeLog;
   FlatSet<uint64_t> RefEdgeSet;
   std::vector<std::pair<NodeId, NodeId>> RefEdges;
   FlatMap<uint64_t, NodeId> AllocNodeByTag;

@@ -8,22 +8,23 @@
 /// \file
 /// The analysis-phase half of the graph lifecycle. A DepGraph is optimized
 /// for interning: open-addressing tables resolve node/edge membership in
-/// O(1) while profiling events stream in, and adjacency grows in per-node
-/// vectors. Once profiling (and the sharded fold) is done, the graph never
-/// mutates again — but the paper-scale read paths (CostModel closures,
-/// DeadValues sweeps, report aggregation over every heap location) then
-/// walk those pointer-chasing structures millions of times.
+/// O(1) while profiling events stream in, and edges go to one append-only
+/// log with no per-node adjacency. Once profiling (and the sharded fold) is
+/// done, the graph never mutates again — but the paper-scale read paths
+/// (CostModel closures, DeadValues sweeps, report aggregation over every
+/// heap location) then walk it millions of times.
 ///
 /// FrozenGraph::seal converts the finished graph into an immutable packed
 /// form sized for 139K-860K-node Gcosts (the paper's Table 1):
 ///
 ///   - CSR adjacency: one offsets array + one dense targets array per
-///     direction, preserving each node's insertion order, so BFS closures
-///     stream contiguous memory instead of hopping between vectors;
+///     direction, built by a stable counting sort of the edge log, so each
+///     node keeps its edges' first-insertion order and BFS closures stream
+///     contiguous memory;
 ///   - SoA node attributes: Instr/Domain/freq/flag columns in parallel
 ///     arrays, so a sweep touches only the bytes it reads (DeadValues
-///     reads one meta byte + one freq word per node, not a ~100-byte
-///     Node record);
+///     reads one meta byte + one freq word per node, not a 40-byte Node
+///     record);
 ///   - sorted key tables searched with a branchless Eytzinger layout
 ///     (`i = 2i + (keys[i] < target)` with per-level prefetch) for the
 ///     node-key, allocation-tag and HeapLoc lookups, replacing the

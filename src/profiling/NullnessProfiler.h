@@ -118,7 +118,9 @@ struct NullTrace {
 };
 
 /// Walks backward from the profiler's fault node through null-annotated
-/// nodes to the origin, reconstructing a shortest propagation path.
+/// nodes to the origin, reconstructing a shortest propagation path. The
+/// walk reads in-edges, so it seals the graph (once per call) when a null
+/// fault was recorded.
 NullTrace traceNullOrigin(const NullnessProfiler &P);
 
 } // namespace lud

@@ -236,10 +236,16 @@ void Daemon::handleIngest(Fd Conn) {
         writeAll(Conn.get(), "ERR expected FEED <nbytes>\n");
         break;
       }
+      std::string Err;
+      if (!S->admit(N, Err)) {
+        // Over quota: refuse before buffering the payload. The session is
+        // failed and the unread payload leaves the framing lost.
+        writeAll(Conn.get(), "ERR " + Err + "\n");
+        break;
+      }
       std::string Payload;
       if (!In.readExact(Payload, size_t(N)))
         break; // EOF mid-payload: the epilogue aborts the session.
-      std::string Err;
       if (S->feed(std::move(Payload), Err))
         writeAll(Conn.get(), "OK\n");
       else
@@ -274,10 +280,13 @@ void Daemon::handleIngest(Fd Conn) {
       writeAll(Conn.get(), "ERR unknown command '" + Verb + "'\n");
     }
   }
+  if (In.lineTooLong())
+    writeAll(Conn.get(), "ERR line too long\n");
   // A connection that drops before DONE takes its session with it: a
   // half-streamed profile must never fold into the report.
   if (S && !Done)
-    Mgr->abort(*S, "connection closed before DONE");
+    Mgr->abort(*S, In.lineTooLong() ? "line too long"
+                                    : "connection closed before DONE");
 }
 
 //===----------------------------------------------------------------------===//
@@ -298,8 +307,12 @@ void Daemon::httpReply(int RawFd, int Code, const char *CodeText,
 void Daemon::handleHttp(Fd Conn) {
   SocketReader In(Conn.get());
   std::string Request;
-  if (!In.readLine(Request))
+  if (!In.readLine(Request)) {
+    if (In.lineTooLong())
+      httpReply(Conn.get(), 414, "URI Too Long", "text/plain",
+                "request line too long\n");
     return;
+  }
   if (!Request.empty() && Request.back() == '\r')
     Request.pop_back();
   // "GET /path HTTP/1.x" — the method and path are all we use; remaining

@@ -78,15 +78,8 @@ bool SessionHandle::feed(std::string InBytes, std::string &Err) {
                        : Diag;
     return false;
   }
-  if (Bytes + InBytes.size() > Mgr.Limits.MaxSessionBytes) {
-    Mgr.failLocked(*this, SessionState::Failed,
-                   "session quota exceeded (" +
-                       std::to_string(Bytes + InBytes.size()) + " > " +
-                       std::to_string(Mgr.Limits.MaxSessionBytes) +
-                       " bytes)");
-    Err = Diag;
+  if (!withinQuotaLocked(InBytes.size(), Err))
     return false;
-  }
   Bytes += InBytes.size();
   PendingBytes += InBytes.size();
   Pending.push_back(std::move(InBytes));
@@ -94,6 +87,22 @@ bool SessionHandle::feed(std::string InBytes, std::string &Err) {
   Mgr.bump("serve.chunks_fed");
   Mgr.scheduleDrainLocked(*this);
   return true;
+}
+
+bool SessionHandle::admit(uint64_t Len, std::string &Err) {
+  std::lock_guard<std::mutex> Lock(Mgr.Mu);
+  return withinQuotaLocked(Len, Err);
+}
+
+bool SessionHandle::withinQuotaLocked(uint64_t Len, std::string &Err) {
+  if (Len <= Mgr.Limits.MaxSessionBytes - Bytes)
+    return true;
+  std::string Why = "session quota exceeded (" + std::to_string(Bytes) +
+                    " + " + std::to_string(Len) + " > " +
+                    std::to_string(Mgr.Limits.MaxSessionBytes) + " bytes)";
+  Mgr.failLocked(*this, SessionState::Failed, Why);
+  Err = Diag.empty() ? Why : Diag;
+  return false;
 }
 
 bool SessionHandle::finish(std::string &Err) {

@@ -102,6 +102,11 @@ public:
   /// \p Err then carries the session's diagnostic.
   bool feed(std::string Bytes, std::string &Err);
 
+  /// Checks an announced \p Len-byte chunk against the remaining quota
+  /// before the caller reads it off the wire. On excess the session fails
+  /// with feed()'s quota diagnostic, returned in \p Err.
+  bool admit(uint64_t Len, std::string &Err);
+
   /// Drains the queued chunks and closes the session. True → Closed and
   /// the session folds into future reports; false → Failed/Evicted with
   /// \p Err set to the verbatim diagnostic.
@@ -129,6 +134,9 @@ private:
   uint64_t Segments = 0;
   bool JobActive = false;
   std::chrono::steady_clock::time_point LastTouch;
+
+  /// The quota check of feed() and admit(); Mgr.Mu must be held.
+  bool withinQuotaLocked(uint64_t Len, std::string &Err);
 };
 
 /// Owns the sessions, the worker pool, and the `serve.*` telemetry.

@@ -186,8 +186,15 @@ bool SocketReader::fill() {
 bool SocketReader::readLine(std::string &Line) {
   for (;;) {
     size_t NL = Buf.find('\n', Pos);
+    size_t Len = (NL == std::string::npos ? Buf.size() : NL) - Pos;
+    // Checked before buffering more: an unterminated line costs at most
+    // kMaxLineBytes plus one fill().
+    if (Len > kMaxLineBytes) {
+      TooLong = true;
+      return false;
+    }
     if (NL != std::string::npos) {
-      Line.assign(Buf, Pos, NL - Pos);
+      Line.assign(Buf, Pos, Len);
       Pos = NL + 1;
       return true;
     }

@@ -75,11 +75,17 @@ bool writeAll(int RawFd, const std::string &S);
 /// payloads.
 class SocketReader {
 public:
+  /// Longest line readLine() accepts, '\n' excluded. No protocol line
+  /// (ingest command, HTTP request or header) comes near it.
+  static constexpr size_t kMaxLineBytes = 64 * 1024;
+
   explicit SocketReader(int RawFd) : RawFd(RawFd) {}
 
   /// Reads up to the next '\n' (consumed, not returned). False on EOF or
-  /// error with nothing buffered.
+  /// error with nothing buffered, and on a line longer than kMaxLineBytes:
+  /// lineTooLong() then says so, and the reader buffers nothing more.
   bool readLine(std::string &Line);
+  bool lineTooLong() const { return TooLong; }
   /// Reads exactly \p Len bytes into \p Out.
   bool readExact(std::string &Out, size_t Len);
 
@@ -89,6 +95,7 @@ private:
   int RawFd;
   std::string Buf;
   size_t Pos = 0;
+  bool TooLong = false;
 };
 
 } // namespace serve

@@ -74,14 +74,6 @@ inline NodeId soleNodeFor(const FrozenGraph &G, InstrId I) {
   return All.size() == 1 ? All[0] : kNoNode;
 }
 
-/// True if the graph has a def-use edge From -> To.
-inline bool hasEdge(const DepGraph &G, NodeId From, NodeId To) {
-  for (NodeId N : G.node(From).Out)
-    if (N == To)
-      return true;
-  return false;
-}
-
 } // namespace test
 } // namespace lud
 

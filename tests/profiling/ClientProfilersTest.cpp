@@ -345,7 +345,8 @@ TEST(CopyProfilerTest, RecordsChainWithStackHops) {
   EXPECT_EQ(Chain.Count, 1u);
 
   // The intermediate stack hops: store <- copy <- load.
-  std::vector<InstrId> Hops = P.stackHops(Chain);
+  std::vector<InstrId> Hops =
+      CopyProfiler::stackHops(Chain, FrozenGraph(P.graph()));
   ASSERT_EQ(Hops.size(), 3u);
   EXPECT_EQ(Hops[0], Store->getId());
   EXPECT_EQ(Hops[1], Copy->getId());

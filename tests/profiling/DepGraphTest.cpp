@@ -2,6 +2,7 @@
 
 #include "profiling/Context.h"
 #include "profiling/DepGraph.h"
+#include "profiling/FrozenGraph.h"
 
 #include <gtest/gtest.h>
 
@@ -42,14 +43,57 @@ TEST(DepGraphTest, EdgesAreDeduplicated) {
   G.addEdge(A, B);
   G.addEdge(A, B);
   EXPECT_EQ(G.numEdges(), 1u);
-  ASSERT_EQ(G.node(A).Out.size(), 1u);
-  ASSERT_EQ(G.node(B).In.size(), 1u);
+  ASSERT_EQ(G.edges().size(), 1u);
+  EXPECT_TRUE(G.hasEdge(A, B));
+  {
+    FrozenGraph F(G);
+    ASSERT_EQ(F.outDegree(A), 1u);
+    ASSERT_EQ(F.inDegree(B), 1u);
+  }
   // Self-edges are dropped (loop-carried dependences collapse).
   G.addEdge(A, A);
   EXPECT_EQ(G.numEdges(), 1u);
+  EXPECT_FALSE(G.hasEdge(A, A));
   // Reverse direction is a distinct edge.
+  EXPECT_FALSE(G.hasEdge(B, A));
   G.addEdge(B, A);
   EXPECT_EQ(G.numEdges(), 2u);
+  EXPECT_TRUE(G.hasEdge(B, A));
+}
+
+TEST(DepGraphTest, EdgeLogKeepsFirstInsertionOrder) {
+  // Duplicates (memo hits and set hits) and self edges never reach the
+  // log; every new edge is appended once, in insertion order.
+  DepGraph G;
+  for (InstrId I = 0; I != 4; ++I)
+    G.getOrCreate(I, 0);
+  G.addEdge(2, 1);
+  G.addEdge(0, 3);
+  G.addEdge(2, 1);
+  G.addEdge(1, 1);
+  G.addEdge(3, 0);
+  G.addEdge(0, 3);
+  G.addEdge(1, 2);
+  G.addEdge(2, 1);
+  G.addEdge(0, 1);
+  EXPECT_EQ(G.edges(),
+            (std::vector<uint64_t>{(2ull << 32) | 1, (0ull << 32) | 3,
+                                   (3ull << 32) | 0, (1ull << 32) | 2,
+                                   (0ull << 32) | 1}));
+  EXPECT_EQ(DepGraph::edgeSource(G.edges()[0]), 2u);
+  EXPECT_EQ(DepGraph::edgeTarget(G.edges()[0]), 1u);
+  EXPECT_FALSE(G.hasEdge(1, 1));
+  EXPECT_FALSE(G.hasEdge(1, 3));
+  EXPECT_FALSE(G.hasEdge(0, 9));
+
+  std::vector<uint32_t> Offsets;
+  std::vector<NodeId> Adj;
+  G.edgeBuckets(/*BySource=*/true, Offsets, Adj);
+  EXPECT_EQ(Offsets, (std::vector<uint32_t>{0, 2, 3, 4, 5}));
+  EXPECT_EQ(Adj, (std::vector<NodeId>{3, 1, 2, 1, 0}));
+  G.edgeBuckets(/*BySource=*/false, Offsets, Adj);
+  EXPECT_EQ(Offsets, (std::vector<uint32_t>{0, 1, 3, 4, 5}));
+  EXPECT_EQ(Adj, (std::vector<NodeId>{3, 2, 0, 1, 0}));
 }
 
 TEST(DepGraphTest, RefEdgesSeparateFromDataEdges) {
@@ -60,7 +104,8 @@ TEST(DepGraphTest, RefEdgesSeparateFromDataEdges) {
   G.addRefEdge(S, A);
   EXPECT_EQ(G.numRefEdges(), 1u);
   EXPECT_EQ(G.numEdges(), 0u);
-  EXPECT_TRUE(G.node(S).Out.empty());
+  EXPECT_TRUE(G.edges().empty());
+  EXPECT_FALSE(G.hasEdge(S, A));
 }
 
 TEST(DepGraphTest, LocationMapsDeduplicate) {
@@ -104,6 +149,31 @@ TEST(DepGraphTest, MemoryFootprintGrowsWithContent) {
   EXPECT_EQ(F.total(), F.NodeBytes + F.EdgeBytes + F.LocMapBytes);
   EXPECT_GT(F.NodeBytes, 0u);
   EXPECT_GT(F.EdgeBytes, 0u);
+}
+
+TEST(DepGraphTest, MemoryFootprintExcludesInternTables) {
+  // memoryFootprint() is the retained graph; the interning tables are
+  // internTableBytes()'s alone, so the two sum without double counting.
+  DepGraph G;
+  G.reserveForRun(4096);
+  NodeId A = G.getOrCreate(1, 0);
+  NodeId B = G.getOrCreate(2, 0);
+  G.addEdge(A, B);
+  G.addRefEdge(A, B);
+  DepGraph::MemoryFootprint F = G.memoryFootprint();
+  EXPECT_EQ(F.NodeBytes, 4096 * (sizeof(DepGraph::Node) + sizeof(uint64_t)));
+  EXPECT_EQ(F.EdgeBytes,
+            G.edges().capacity() * sizeof(uint64_t) +
+                G.refEdges().capacity() * sizeof(std::pair<NodeId, NodeId>));
+  EXPECT_EQ(F.LocMapBytes, 0u);
+  // Interning a thousand allocation tags grows the tables only.
+  size_t Tables = G.internTableBytes();
+  for (uint64_t Tag = 0; Tag != 1000; ++Tag)
+    G.noteAlloc(Tag, A);
+  EXPECT_GT(G.internTableBytes(), Tables);
+  EXPECT_EQ(G.memoryFootprint().total(), F.total());
+  // The build record carries no adjacency.
+  EXPECT_LE(sizeof(DepGraph::Node), 40u);
 }
 
 //===----------------------------------------------------------------------===
@@ -239,10 +309,8 @@ TEST(DepGraphHitTest, MemoOffBypassesTheMemo) {
   }
   EXPECT_EQ(snapshot(On), snapshot(Off));
   EXPECT_EQ(On.numEdges(), Off.numEdges());
-  for (NodeId N = 0; N != NodeId(On.numNodes()); ++N) {
-    EXPECT_EQ(On.node(N).Out, Off.node(N).Out);
-    EXPECT_EQ(On.node(N).In, Off.node(N).In);
-  }
+  // Same log, so the same per-node out- and in-lists once sealed.
+  EXPECT_EQ(On.edges(), Off.edges());
 }
 
 TEST(ContextEncoderTest, ChainsEncodeIncrementally) {

@@ -18,6 +18,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
+#include <utility>
 #include <vector>
 
 using namespace lud;
@@ -77,6 +79,23 @@ DepGraph buildSynthetic(size_t NumNodes, uint64_t Seed) {
   return G;
 }
 
+/// Per-node adjacency read off the edge log the slow way: node N's out-
+/// (in-) list is the log's entries with source (target) N, in log order.
+struct LogAdjacency {
+  std::vector<std::vector<NodeId>> Out, In;
+  explicit LogAdjacency(const DepGraph &G)
+      : Out(G.numNodes()), In(G.numNodes()) {
+    for (uint64_t Key : G.edges()) {
+      Out[DepGraph::edgeSource(Key)].push_back(DepGraph::edgeTarget(Key));
+      In[DepGraph::edgeTarget(Key)].push_back(DepGraph::edgeSource(Key));
+    }
+  }
+};
+
+std::vector<NodeId> toVec(std::span<const NodeId> S) {
+  return std::vector<NodeId>(S.begin(), S.end());
+}
+
 /// Full accessor-equivalence check between a build graph and its seal.
 void expectEquivalent(const DepGraph &G, const FrozenGraph &F) {
   ASSERT_EQ(F.numNodes(), G.numNodes());
@@ -84,6 +103,7 @@ void expectEquivalent(const DepGraph &G, const FrozenGraph &F) {
   ASSERT_EQ(F.numRefEdges(), G.numRefEdges());
   ASSERT_EQ(F.contextSlots(), G.contextSlots());
 
+  const LogAdjacency Adj(G);
   uint64_t Total = 0;
   for (NodeId N = 0; N != G.numNodes(); ++N) {
     const DepGraph::Node &Src = G.node(N);
@@ -101,12 +121,14 @@ void expectEquivalent(const DepGraph &G, const FrozenGraph &F) {
     ASSERT_EQ(F.isAlloc(N), Src.IsAlloc);
     ASSERT_EQ(F.storedRef(N), Src.StoredRef);
     // CSR adjacency preserves per-node insertion order.
-    ASSERT_EQ(F.outDegree(N), Src.Out.size());
-    ASSERT_EQ(F.inDegree(N), Src.In.size());
+    ASSERT_EQ(F.outDegree(N), Adj.Out[N].size());
+    ASSERT_EQ(F.inDegree(N), Adj.In[N].size());
     ASSERT_TRUE(std::equal(F.out(N).begin(), F.out(N).end(),
-                           Src.Out.begin(), Src.Out.end()));
+                           Adj.Out[N].begin(), Adj.Out[N].end()));
     ASSERT_TRUE(std::equal(F.in(N).begin(), F.in(N).end(),
-                           Src.In.begin(), Src.In.end()));
+                           Adj.In[N].begin(), Adj.In[N].end()));
+    for (NodeId S : F.out(N))
+      ASSERT_TRUE(G.hasEdge(N, S));
     Total += G.freq(N);
   }
   ASSERT_EQ(F.totalFreq(), Total);
@@ -158,6 +180,81 @@ void expectEquivalent(const DepGraph &G, const FrozenGraph &F) {
     ASSERT_TRUE(std::equal(F.readersAt(LI).begin(), F.readersAt(LI).end(),
                            F.readersOf(L).begin(), F.readersOf(L).end()));
   }
+}
+
+TEST(FrozenGraphTest, SealKeepsFirstInsertionOrder) {
+  // Interleaved sources and targets with duplicate and self edges: the
+  // sealed lists hold each edge once, at its first insertion.
+  DepGraph G;
+  for (InstrId I = 0; I != 5; ++I)
+    G.getOrCreate(I, 0);
+  const std::pair<NodeId, NodeId> Inserts[] = {
+      {3, 1}, {0, 1}, {3, 0}, {0, 1}, {2, 2}, {4, 1}, {3, 1}, {0, 4},
+      {2, 1}, {4, 4}, {3, 2}, {0, 4}, {1, 0}, {2, 1}};
+  for (auto [From, To] : Inserts)
+    G.addEdge(From, To);
+  ASSERT_EQ(G.numEdges(), 8u);
+
+  FrozenGraph F(G);
+  EXPECT_EQ(F.numEdges(), 8u);
+  EXPECT_EQ(toVec(F.out(0)), (std::vector<NodeId>{1, 4}));
+  EXPECT_EQ(toVec(F.out(1)), (std::vector<NodeId>{0}));
+  EXPECT_EQ(toVec(F.out(2)), (std::vector<NodeId>{1}));
+  EXPECT_EQ(toVec(F.out(3)), (std::vector<NodeId>{1, 0, 2}));
+  EXPECT_EQ(toVec(F.out(4)), (std::vector<NodeId>{1}));
+  EXPECT_EQ(toVec(F.in(0)), (std::vector<NodeId>{3, 1}));
+  EXPECT_EQ(toVec(F.in(1)), (std::vector<NodeId>{3, 0, 4, 2}));
+  EXPECT_EQ(toVec(F.in(2)), (std::vector<NodeId>{3}));
+  EXPECT_EQ(toVec(F.in(3)), (std::vector<NodeId>{}));
+  EXPECT_EQ(toVec(F.in(4)), (std::vector<NodeId>{0}));
+  expectEquivalent(G, F);
+}
+
+TEST(FrozenGraphTest, MergeLinksEdgesGroupedBySource) {
+  // The source logs edges out of source order; a merge appends them
+  // grouped by source id (each source's in its own order), so the merged
+  // in-lists follow source ids, not the source's log.
+  DepGraph Src;
+  for (InstrId I = 0; I != 4; ++I)
+    Src.getOrCreate(10 + I, 0);
+  Src.addEdge(2, 0);
+  Src.addEdge(1, 0);
+  Src.addEdge(3, 0);
+  Src.addEdge(2, 3);
+  Src.addEdge(1, 3);
+  Src.addEdge(0, 1);
+
+  // Into an empty graph: numbering is the source's, order is regrouped.
+  DepGraph Empty;
+  Empty.mergeFrom(Src);
+  EXPECT_EQ(Empty.edges(),
+            (std::vector<uint64_t>{(0ull << 32) | 1, (1ull << 32) | 0,
+                                   (1ull << 32) | 3, (2ull << 32) | 0,
+                                   (2ull << 32) | 3, (3ull << 32) | 0}));
+  FrozenGraph FE(Empty);
+  EXPECT_EQ(toVec(FE.in(0)), (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(toVec(FE.in(1)), (std::vector<NodeId>{0}));
+  EXPECT_EQ(toVec(FE.in(3)), (std::vector<NodeId>{1, 2}));
+  EXPECT_EQ(toVec(FE.out(2)), (std::vector<NodeId>{0, 3}));
+
+  // Into a non-empty graph: its own edges stay first, the source's new
+  // edges follow grouped by the source's ids, and duplicates are dropped.
+  // Instr 13 is node 0 here and instr 10 is node 1.
+  DepGraph Dst;
+  NodeId D13 = Dst.getOrCreate(13, 0);
+  NodeId D10 = Dst.getOrCreate(10, 0);
+  Dst.addEdge(D13, D10); // Same key as Src's 3 -> 0.
+  Dst.addEdge(D10, D13);
+  std::vector<NodeId> Remap = Dst.mergeFrom(Src);
+  EXPECT_EQ(Remap, (std::vector<NodeId>{1, 2, 3, 0}));
+  EXPECT_EQ(Dst.numEdges(), 7u);
+  FrozenGraph FD(Dst);
+  EXPECT_EQ(toVec(FD.in(1)), (std::vector<NodeId>{0, 2, 3}));
+  EXPECT_EQ(toVec(FD.in(0)), (std::vector<NodeId>{1, 2, 3}));
+  EXPECT_EQ(toVec(FD.in(2)), (std::vector<NodeId>{1}));
+  EXPECT_EQ(toVec(FD.out(1)), (std::vector<NodeId>{0, 2}));
+  EXPECT_EQ(toVec(FD.out(0)), (std::vector<NodeId>{1}));
+  expectEquivalent(Dst, FD);
 }
 
 TEST(FrozenGraphTest, EmptyGraphSeals) {

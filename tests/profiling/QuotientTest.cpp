@@ -79,10 +79,8 @@ void checkQuotient(const Module &M, const BothRuns &B) {
       ASSERT_NE(To, kNoNode);
       if (From == To)
         continue; // Collapsed self-dependence.
-      bool Found = false;
-      for (NodeId S : G.node(From).Out)
-        Found |= S == To;
-      EXPECT_TRUE(Found) << "concrete edge missing in abstract graph";
+      EXPECT_TRUE(G.hasEdge(From, To))
+          << "concrete edge missing in abstract graph";
     }
   }
 

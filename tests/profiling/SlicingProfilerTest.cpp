@@ -53,14 +53,14 @@ TEST(SlicingProfilerTest, StraightLineDependences) {
   ASSERT_NE(NAdd, kNoNode);
 
   // a flows into f's shr via parameter passing (no node for the binding).
-  EXPECT_TRUE(hasEdge(G, NA, NShr));
+  EXPECT_TRUE(G.hasEdge(NA, NShr));
   // shr -> ret -> mul and -> add (c used twice).
-  EXPECT_TRUE(hasEdge(G, NShr, NRet));
-  EXPECT_TRUE(hasEdge(G, NRet, NMul));
-  EXPECT_TRUE(hasEdge(G, NRet, NAdd));
-  EXPECT_TRUE(hasEdge(G, NMul, NAdd));
+  EXPECT_TRUE(G.hasEdge(NShr, NRet));
+  EXPECT_TRUE(G.hasEdge(NRet, NMul));
+  EXPECT_TRUE(G.hasEdge(NRet, NAdd));
+  EXPECT_TRUE(G.hasEdge(NMul, NAdd));
   // No direct shr -> mul edge: the return value flows through the return.
-  EXPECT_FALSE(hasEdge(G, NShr, NMul));
+  EXPECT_FALSE(G.hasEdge(NShr, NMul));
 }
 
 TEST(SlicingProfilerTest, ThinSlicingIgnoresBasePointers) {
@@ -89,10 +89,10 @@ TEST(SlicingProfilerTest, ThinSlicingIgnoresBasePointers) {
     NodeId NAlloc = soleNodeFor(G, AllocId);
     NodeId NConst = soleNodeFor(G, ConstId);
     ASSERT_NE(NLoad, kNoNode);
-    EXPECT_TRUE(hasEdge(G, NStore, NLoad));
-    EXPECT_TRUE(hasEdge(G, NConst, NStore));
-    EXPECT_FALSE(hasEdge(G, NAlloc, NLoad));
-    EXPECT_FALSE(hasEdge(G, NAlloc, NStore));
+    EXPECT_TRUE(G.hasEdge(NStore, NLoad));
+    EXPECT_TRUE(G.hasEdge(NConst, NStore));
+    EXPECT_FALSE(G.hasEdge(NAlloc, NLoad));
+    EXPECT_FALSE(G.hasEdge(NAlloc, NStore));
   }
 
   // Traditional (ablation): base-pointer values are uses too.
@@ -104,9 +104,9 @@ TEST(SlicingProfilerTest, ThinSlicingIgnoresBasePointers) {
     NodeId NLoad = soleNodeFor(G, LoadId);
     NodeId NStore = soleNodeFor(G, StoreId);
     NodeId NAlloc = soleNodeFor(G, AllocId);
-    EXPECT_TRUE(hasEdge(G, NAlloc, NLoad));
-    EXPECT_TRUE(hasEdge(G, NAlloc, NStore));
-    EXPECT_TRUE(hasEdge(G, NStore, NLoad));
+    EXPECT_TRUE(G.hasEdge(NAlloc, NLoad));
+    EXPECT_TRUE(G.hasEdge(NAlloc, NStore));
+    EXPECT_TRUE(G.hasEdge(NStore, NLoad));
   }
 }
 

@@ -18,6 +18,9 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <sys/socket.h>
+#include <sys/time.h>
+#include <thread>
 #include <unistd.h>
 #include <vector>
 
@@ -236,6 +239,100 @@ TEST(DaemonTest, TelemetryAndHealthEndpoints) {
 
   ASSERT_TRUE(httpGet(D.httpPort(), "/sessions", Body, Err)) << Err;
   EXPECT_NE(Body.find("\"id\": 1"), std::string::npos) << Body;
+  D.stop();
+}
+
+TEST(SocketReaderTest, LinesAreBoundedBeforeBuffering) {
+  int Pair[2];
+  ASSERT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, Pair), 0);
+  Fd Reader(Pair[0]), Writer(Pair[1]);
+  const size_t Max = SocketReader::kMaxLineBytes;
+  std::thread Feed([&] {
+    writeAll(Writer.get(), std::string(Max, 'x') + "\n");
+    writeAll(Writer.get(), std::string(Max + 1, 'y'));
+    writeAll(Writer.get(), std::string(Max, 'z') + "\n");
+    Writer.reset();
+  });
+  SocketReader In(Reader.get());
+  std::string Line;
+  // A line of exactly the limit is accepted...
+  ASSERT_TRUE(In.readLine(Line));
+  EXPECT_EQ(Line, std::string(Max, 'x'));
+  EXPECT_FALSE(In.lineTooLong());
+  // ...one byte more is refused, although its '\n' follows later.
+  EXPECT_FALSE(In.readLine(Line));
+  EXPECT_TRUE(In.lineTooLong());
+  Feed.join();
+}
+
+/// Connects to the ingest socket with a receive timeout, so a daemon that
+/// wrongly waits for more bytes fails the test instead of hanging it.
+Fd connectWithTimeout(const std::string &Socket) {
+  std::string Err;
+  Fd Conn = connectUnix(Socket, Err);
+  EXPECT_TRUE(Conn) << Err;
+  timeval TV{10, 0};
+  ::setsockopt(Conn.get(), SOL_SOCKET, SO_RCVTIMEO, &TV, sizeof(TV));
+  return Conn;
+}
+
+TEST(DaemonTest, OverlongCommandLineIsRefused) {
+  Workload W = buildWorkload("chart", 40);
+  std::string Socket = socketPath("longline");
+  Daemon D(*W.M, daemonConfig(Socket, 1));
+  std::string Err;
+  ASSERT_TRUE(D.start(Err)) << Err;
+
+  Fd Conn = connectWithTimeout(Socket);
+  SocketReader In(Conn.get());
+  std::string Reply;
+  ASSERT_TRUE(writeAll(Conn.get(), "OPEN\n"));
+  ASSERT_TRUE(In.readLine(Reply));
+  ASSERT_EQ(Reply.rfind("OK id=", 0), 0u) << Reply;
+  ASSERT_TRUE(writeAll(Conn.get(),
+                       std::string(SocketReader::kMaxLineBytes + 100, 'A')));
+  ASSERT_TRUE(In.readLine(Reply));
+  EXPECT_EQ(Reply, "ERR line too long");
+  EXPECT_FALSE(In.readLine(Reply)); // And the daemon hung up.
+  EXPECT_FALSE(In.lineTooLong());
+  ASSERT_EQ(D.sessions().sessions().size(), 1u);
+  EXPECT_EQ(D.sessions().sessions()[0]->state(), SessionState::Failed);
+  EXPECT_EQ(D.sessions().sessions()[0]->error(), "line too long");
+
+  // HTTP: an over-long request line is a 414.
+  std::string Body;
+  EXPECT_FALSE(httpGet(D.httpPort(),
+                       "/" + std::string(SocketReader::kMaxLineBytes, 'p'),
+                       Body, Err));
+  EXPECT_NE(Err.find("414"), std::string::npos) << Err;
+  D.stop();
+}
+
+TEST(DaemonTest, FeedLengthIsCheckedAgainstTheQuotaBeforeReading) {
+  Workload W = buildWorkload("chart", 40);
+  std::string Socket = socketPath("feedquota");
+  DaemonConfig Cfg = daemonConfig(Socket, 1);
+  Cfg.Limits.MaxSessionBytes = 1000;
+  Daemon D(*W.M, Cfg);
+  std::string Err;
+  ASSERT_TRUE(D.start(Err)) << Err;
+
+  Fd Conn = connectWithTimeout(Socket);
+  SocketReader In(Conn.get());
+  std::string Reply;
+  ASSERT_TRUE(writeAll(Conn.get(), "OPEN\n"));
+  ASSERT_TRUE(In.readLine(Reply));
+  ASSERT_EQ(Reply.rfind("OK id=", 0), 0u) << Reply;
+  // Announce a gigabyte and send none of it: the refusal must come from
+  // the header alone.
+  ASSERT_TRUE(writeAll(Conn.get(), "FEED 1000000000\n"));
+  ASSERT_TRUE(In.readLine(Reply));
+  EXPECT_EQ(Reply,
+            "ERR session quota exceeded (0 + 1000000000 > 1000 bytes)");
+  EXPECT_FALSE(In.readLine(Reply)); // The link is dropped.
+  SessionHandle *H = D.sessions().sessions()[0];
+  EXPECT_EQ(H->state(), SessionState::Failed);
+  EXPECT_EQ(H->bytesFed(), 0u);
   D.stop();
 }
 

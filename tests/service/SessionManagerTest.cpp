@@ -215,6 +215,26 @@ TEST(SessionManagerTest, QuotaFailsTheSessionWithADiagnostic) {
   EXPECT_EQ(Err.find("session quota exceeded"), std::string::npos);
 }
 
+TEST(SessionManagerTest, AdmitChecksAnnouncedLengthAgainstTheQuota) {
+  Workload W = buildWorkload("chart", 40);
+  SessionLimits Limits;
+  Limits.MaxSessionBytes = 100;
+  SessionManager Mgr(*W.M, allClientsConfig(), Limits);
+  SessionHandle &S = Mgr.open();
+
+  std::string Err;
+  EXPECT_TRUE(S.admit(100, Err)); // The whole quota, nothing consumed.
+  EXPECT_EQ(S.bytesFed(), 0u);
+  EXPECT_EQ(S.state(), SessionState::Open);
+  EXPECT_FALSE(S.admit(101, Err));
+  EXPECT_EQ(Err, "session quota exceeded (0 + 101 > 100 bytes)");
+  EXPECT_EQ(S.state(), SessionState::Failed);
+  // A length near 2^64 must not wrap the check.
+  SessionHandle &S2 = Mgr.open();
+  EXPECT_FALSE(S2.admit(~uint64_t(0), Err));
+  EXPECT_EQ(S2.state(), SessionState::Failed);
+}
+
 // High-watermark backpressure must slow oversized streams down, never
 // wedge them: chunks larger than the watermark still drain.
 TEST(SessionManagerTest, BackpressureWatermarkDoesNotWedgeOversizedChunks) {
