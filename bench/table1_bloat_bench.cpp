@@ -30,8 +30,8 @@ void printTable() {
   for (const std::string &Name : dacapoNames()) {
     Workload W = buildWorkload(Name, S);
     ProfiledRun P = profiledRun(*W.M);
-    DeadValueAnalysis DV =
-        computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
+    FrozenGraph FG(P.Prof->graph());
+    DeadValueAnalysis DV = computeDeadValues(FG, P.Run.ExecutedInstrs);
     std::printf("%-12s %12llu %8.1f %8.1f %8.1f\n", Name.c_str(),
                 (unsigned long long)DV.Metrics.TotalInstrInstances,
                 100.0 * DV.Metrics.ipd(), 100.0 * DV.Metrics.ipp(),
@@ -46,8 +46,8 @@ void BM_DeadValueAnalysis(benchmark::State &State) {
   Workload W = buildWorkload(Name, tableScale() / 4);
   ProfiledRun P = profiledRun(*W.M);
   for (auto _ : State) {
-    DeadValueAnalysis DV =
-        computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs);
+    FrozenGraph FG(P.Prof->graph());
+    DeadValueAnalysis DV = computeDeadValues(FG, P.Run.ExecutedInstrs);
     benchmark::DoNotOptimize(DV.Metrics.DeadFreq);
   }
   State.SetLabel(Name);

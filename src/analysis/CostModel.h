@@ -28,7 +28,6 @@
 
 #include "profiling/FrozenGraph.h"
 
-#include <memory>
 #include <unordered_map>
 #include <vector>
 
@@ -68,14 +67,9 @@ struct ObjectCostBenefit {
 /// the graph must outlive the model.
 class CostModel {
 public:
-  /// Reads \p G directly — the seal-once pipeline the tools use.
+  /// Reads \p G directly; a build-phase DepGraph is sealed once by the
+  /// caller (FrozenGraph FG(DG)) and shared by every consumer.
   explicit CostModel(const FrozenGraph &G);
-
-  /// Convenience: seals a copy of \p DG and owns the result. Analysis
-  /// results and serialization are byte-identical to sealing at the call
-  /// site; prefer the FrozenGraph overload when several consumers share
-  /// one graph.
-  explicit CostModel(const DepGraph &DG);
 
   const FrozenGraph &graph() const { return G; }
 
@@ -105,10 +99,6 @@ public:
   std::vector<uint64_t> allTags() const;
 
 private:
-  void init();
-
-  /// Set when this model sealed its own graph (DepGraph constructor).
-  std::unique_ptr<FrozenGraph> Owned;
   const FrozenGraph &G;
   /// tag -> observed field slots (sorted).
   std::unordered_map<uint64_t, std::vector<FieldSlot>> FieldsByTag;

@@ -84,8 +84,3 @@ OptimizeResult lud::removeProfiledDeadCode(const Module &M,
       M, [&](const Instruction &I) { return Kept[I.getId()]; });
   return Out;
 }
-
-OptimizeResult lud::removeProfiledDeadCode(const Module &M, const DepGraph &G,
-                                           const DeadValueAnalysis &DV) {
-  return removeProfiledDeadCode(M, FrozenGraph(G), DV);
-}

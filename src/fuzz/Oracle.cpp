@@ -11,8 +11,6 @@
 #include "support/OutStream.h"
 #include "workloads/ParallelDriver.h"
 
-#include <cstring>
-
 using namespace lud;
 using namespace lud::fuzz;
 
@@ -98,22 +96,6 @@ std::string diffSnapshots(const Snapshot &Ref, const Snapshot &Got) {
   if (Ref.Reports != Got.Reports)
     return firstDiff("client reports", Ref.Reports, Got.Reports);
   return "";
-}
-
-/// Bit pattern of a return value for exact comparison (floats bitwise).
-uint64_t valueBits(const Value &V) {
-  switch (V.Kind) {
-  case ValueKind::Int:
-    return uint64_t(V.I);
-  case ValueKind::Float: {
-    uint64_t B;
-    std::memcpy(&B, &V.F, sizeof B);
-    return B;
-  }
-  case ValueKind::Ref:
-    return V.R;
-  }
-  return 0;
 }
 
 SessionConfig sessionConfig(const OracleConfig &Cfg) {
@@ -268,16 +250,9 @@ OracleResult fuzz::runOracle(const Module &M, const OracleConfig &Cfg) {
         ComposedProfiler<> PA, PB;
         RunResult A = runWithEngine(E, M, HA, PA, RC);
         RunResult B = runWithEngine(E, *PR.M, HB, PB, RC);
-        std::string Mode = std::string("optimize(") + engineKindName(E) + ")";
-        if (A.Status != B.Status)
-          return Fail(Mode, "status " + std::to_string(int(A.Status)) +
-                                " vs " + std::to_string(int(B.Status)));
-        if (A.SinkHash != B.SinkHash)
-          return Fail(Mode, "sink-hash " + std::to_string(A.SinkHash) +
-                                " vs " + std::to_string(B.SinkHash));
-        if (A.ReturnValue.Kind != B.ReturnValue.Kind ||
-            valueBits(A.ReturnValue) != valueBits(B.ReturnValue))
-          return Fail(Mode, "return value diverged");
+        std::string Why;
+        if (!sameObservables(A, B, engineKindName(E), Why))
+          return Fail(std::string("optimize(") + engineKindName(E) + ")", Why);
       }
     }
   }

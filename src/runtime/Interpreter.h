@@ -25,6 +25,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <string>
 #include <vector>
 
 namespace lud {
@@ -104,6 +105,36 @@ struct RunResult {
   /// Objects allocated during the run.
   uint64_t ObjectsAllocated = 0;
 };
+
+/// "finished", "trapped" or "budget-exceeded".
+const char *runStatusName(RunStatus S);
+
+/// Bit pattern of \p V: ints as themselves, floats bitwise, references with
+/// the top bit set. Natives fold it into RunResult::SinkHash, and
+/// sameObservables compares return values by it (identity, not numeric
+/// equivalence).
+inline uint64_t valueBits(const Value &V) {
+  switch (V.Kind) {
+  case ValueKind::Int:
+    return uint64_t(V.I);
+  case ValueKind::Float: {
+    uint64_t B;
+    static_assert(sizeof(B) == sizeof(V.F));
+    std::memcpy(&B, &V.F, sizeof(B));
+    return B;
+  }
+  case ValueKind::Ref:
+    return uint64_t(V.R) | (uint64_t(1) << 63);
+  }
+  return 0;
+}
+
+/// The observable contract a rewrite or a second engine must keep: the
+/// same status, sink hash and returned value (kind and bits). On a
+/// difference, returns false and names it in \p Why, blaming \p Where
+/// (e.g. the engine the run used).
+bool sameObservables(const RunResult &Ref, const RunResult &Got,
+                     const char *Where, std::string &Why);
 
 template <typename ProfilerT> class Interpreter {
 public:

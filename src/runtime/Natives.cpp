@@ -2,6 +2,7 @@
 
 #include "runtime/Natives.h"
 
+#include "runtime/Interpreter.h"
 #include "support/OutStream.h"
 
 using namespace lud;
@@ -11,22 +12,6 @@ namespace {
 uint64_t mixInto(uint64_t Hash, uint64_t Bits) {
   Hash ^= Bits + 0x9E3779B97F4A7C15ULL + (Hash << 6) + (Hash >> 2);
   return Hash;
-}
-
-uint64_t valueBits(const Value &V) {
-  switch (V.Kind) {
-  case ValueKind::Int:
-    return uint64_t(V.I);
-  case ValueKind::Float: {
-    uint64_t B;
-    static_assert(sizeof(B) == sizeof(V.F));
-    __builtin_memcpy(&B, &V.F, sizeof(B));
-    return B;
-  }
-  case ValueKind::Ref:
-    return uint64_t(V.R) | (uint64_t(1) << 63);
-  }
-  return 0;
 }
 
 Value nativePrint(NativeContext &Ctx, const Value *Args, size_t N) {

@@ -1,6 +1,7 @@
 //===- runtime/Runtime.cpp - Misc runtime helpers --------------------------===//
 
 #include "runtime/Engine.h"
+#include "runtime/Interpreter.h"
 #include "runtime/ProfilerConcept.h"
 
 #include "support/ErrorHandling.h"
@@ -69,4 +70,36 @@ const char *lud::trapKindName(TrapKind K) {
     return "unbound native method";
   }
   lud_unreachable("unknown TrapKind");
+}
+
+const char *lud::runStatusName(RunStatus S) {
+  switch (S) {
+  case RunStatus::Finished:
+    return "finished";
+  case RunStatus::Trapped:
+    return "trapped";
+  case RunStatus::BudgetExceeded:
+    return "budget-exceeded";
+  }
+  return "unknown";
+}
+
+bool lud::sameObservables(const RunResult &Ref, const RunResult &Got,
+                          const char *Where, std::string &Why) {
+  if (Got.Status != Ref.Status) {
+    Why = std::string("status diverged on ") + Where + " (" +
+          runStatusName(Ref.Status) + " -> " + runStatusName(Got.Status) +
+          ")";
+    return false;
+  }
+  if (Got.SinkHash != Ref.SinkHash) {
+    Why = std::string("sink hash diverged on ") + Where;
+    return false;
+  }
+  if (Got.ReturnValue.Kind != Ref.ReturnValue.Kind ||
+      valueBits(Got.ReturnValue) != valueBits(Ref.ReturnValue)) {
+    Why = std::string("return value diverged on ") + Where;
+    return false;
+  }
+  return true;
 }

@@ -1,4 +1,4 @@
-//===- service/Render.cpp - Shared replay-report renderer ------------------===//
+//===- service/Render.cpp - The one report renderer -----------------------===//
 
 #include "service/Render.h"
 
@@ -27,32 +27,51 @@ void lud::serve::renderReplaySummary(const ProfileSession &S,
 }
 
 void lud::serve::renderReportSections(const Module &M,
-                                      const ProfileSession &S,
+                                      const ProfileSession *S,
                                       const FrozenGraph &FG,
                                       const ReportSpec &Spec, OutStream &OS) {
+  const SlicingProfiler *Prof = S ? S->slicing() : nullptr;
+  const size_t TopK = Spec.Client.TopK;
   CostModel CM(FG);
   if (Spec.Report) {
     ReportOptions Opts;
     Opts.Depth = Spec.Client.Depth;
     LowUtilityReport Report(CM, M, Opts);
     OS << "\n=== low-utility data structures ===\n";
-    Report.print(OS, Spec.Client.TopK);
+    Report.print(OS, TopK);
+  }
+  if (Prof && Spec.Overwrites) {
+    OS << "\n=== locations rewritten before read ===\n";
+    printOverwrites(rankOverwrites(*Prof, M, Spec.Client), OS, TopK);
+  }
+  if (Prof && Spec.Predicates) {
+    OS << "\n=== always-constant predicates ===\n";
+    printConstantPredicates(findConstantPredicates(*Prof, CM, M, Spec.Client),
+                            OS, TopK);
+  }
+  if (Spec.Methods) {
+    OS << "\n=== costliest method return values ===\n";
+    printMethodCosts(computeMethodCosts(CM, M), OS, TopK);
   }
   if (Spec.Caches) {
     OS << "\n=== cache effectiveness (least effective first) ===\n";
-    printCacheScores(rankCacheEffectiveness(CM, M), OS, Spec.Client.TopK);
+    printCacheScores(rankCacheEffectiveness(CM, M), OS, TopK);
   }
-  S.printClientReports(M, OS, Spec.Client.TopK);
-  if (Spec.Dead) {
-    DeadValueAnalysis DV = computeDeadValues(FG, FG.totalFreq());
-    OS << "\n=== bloat metrics ===\nIPD ";
-    OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
-    OS << "%   IPP ";
-    OS.printFixed(100.0 * DV.Metrics.ipp(), 1);
-    OS << "%   NLD ";
-    OS.printFixed(100.0 * DV.Metrics.nld(), 1);
-    OS << "%\n";
-  }
+  if (S)
+    S->printClientReports(M, OS, TopK);
+}
+
+void lud::serve::renderBloatMetrics(const FrozenGraph &FG,
+                                    uint64_t Denominator, OutStream &OS,
+                                    std::string_view Heading) {
+  DeadValueAnalysis DV = computeDeadValues(FG, Denominator);
+  OS << "\n=== " << Heading << " ===\nIPD ";
+  OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
+  OS << "%   IPP ";
+  OS.printFixed(100.0 * DV.Metrics.ipp(), 1);
+  OS << "%   NLD ";
+  OS.printFixed(100.0 * DV.Metrics.nld(), 1);
+  OS << "%\n";
 }
 
 void lud::serve::renderReplayReport(const Module &M, const ProfileSession &S,
@@ -60,5 +79,7 @@ void lud::serve::renderReplayReport(const Module &M, const ProfileSession &S,
                                     uint64_t NumTraces, const ReportSpec &Spec,
                                     OutStream &OS) {
   renderReplaySummary(S, FG, Events, NumTraces, OS);
-  renderReportSections(M, S, FG, Spec, OS);
+  renderReportSections(M, &S, FG, Spec, OS);
+  if (Spec.Dead)
+    renderBloatMetrics(FG, FG.totalFreq(), OS);
 }

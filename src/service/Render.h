@@ -1,20 +1,19 @@
-//===- service/Render.h - Shared replay-report renderer --------*- C++ -*-===//
+//===- service/Render.h - The one report renderer ---------------*- C++ -*-===//
 //
 // Part of the lud project: a reproduction of "Finding Low-Utility Data
 // Structures" (PLDI 2010).
 //
 //===----------------------------------------------------------------------===//
 ///
-/// \file
-/// The one place the replayed report is rendered. `lud-replay` printing to
-/// stdout and the `lud-serve` daemon answering GET /report must produce
-/// byte-identical text for the same folded session — the ISSUE's
-/// acceptance test diffs them — so both call these functions rather than
-/// owning format strings. The summary prints the sealed FrozenGraph
-/// footprint ("sealed X KB"): unlike the mutable DepGraph's
-/// capacity-dependent number, the sealed CSR footprint is a pure function
-/// of the graph's contents, hence identical however the sessions were
-/// buffered on the way in.
+/// The one place a profiled run becomes report text. `lud-run` (live and
+/// --replay), `lud-replay`, `lud-analyze` and the `lud-serve` daemon's
+/// GET /report all render their "===" sections through these functions,
+/// so the same folded session — or, for lud-analyze, the same graph —
+/// produces byte-identical sections whichever frontend asks. The replay
+/// summary prints the sealed FrozenGraph footprint ("sealed X KB"): unlike
+/// the mutable DepGraph's capacity-dependent number, the sealed CSR
+/// footprint is a pure function of the graph's contents, hence identical
+/// however the sessions were buffered on the way in.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,6 +23,7 @@
 #include "analysis/Clients.h"
 
 #include <cstdint>
+#include <string_view>
 
 namespace lud {
 
@@ -34,11 +34,14 @@ class FrozenGraph;
 
 namespace serve {
 
-/// Which report sections to render, mirroring lud-replay's flags; client
+/// Which report sections to render, mirroring the tools' flags; client
 /// sections follow the session's own ClientSet.
 struct ReportSpec {
   bool Report = false;
   bool Dead = false;
+  bool Overwrites = false;
+  bool Predicates = false;
+  bool Methods = false;
   bool Caches = false;
   ClientOptions Client;
 };
@@ -48,13 +51,27 @@ struct ReportSpec {
 void renderReplaySummary(const ProfileSession &S, const FrozenGraph &FG,
                          uint64_t Events, uint64_t NumTraces, OutStream &OS);
 
-/// The "===" report sections in lud-replay's order: low-utility report,
-/// cache effectiveness, client sections, bloat metrics.
-void renderReportSections(const Module &M, const ProfileSession &S,
+/// The "===" report sections, in order: low-utility report, overwrites,
+/// predicates, methods, cache effectiveness, client sections. One
+/// CostModel over \p FG serves them all. \p S may be null when only a
+/// graph exists (lud-analyze); the sections that read session state —
+/// overwrites, predicates and clients — are then skipped. Spec.Dead is
+/// not rendered here: bloat metrics come from renderBloatMetrics, so that
+/// lud-run can put its optimizer section in between.
+void renderReportSections(const Module &M, const ProfileSession *S,
                           const FrozenGraph &FG, const ReportSpec &Spec,
                           OutStream &OS);
 
-/// Summary plus sections — the whole report, as GET /report serves it.
+/// The "=== \p Heading ===" section with the IPD/IPP/NLD line of the
+/// dead-value analysis over \p FG, relative to \p Denominator executed
+/// instruction instances.
+void renderBloatMetrics(const FrozenGraph &FG, uint64_t Denominator,
+                        OutStream &OS,
+                        std::string_view Heading = "bloat metrics");
+
+/// Summary, sections and (Spec.Dead) bloat metrics relative to the
+/// graph's own frequency total — the whole report, as GET /report serves
+/// it.
 void renderReplayReport(const Module &M, const ProfileSession &S,
                         const FrozenGraph &FG, uint64_t Events,
                         uint64_t NumTraces, const ReportSpec &Spec,

@@ -2,9 +2,17 @@
 
 #include "tools/CliOptions.h"
 
+#include "ir/Parser.h"
+#include "obs/Metrics.h"
+#include "profiling/GraphIO.h"
 #include "support/OutStream.h"
+#include "trace/TraceIO.h"
+#include "workloads/Composed.h"
+#include "workloads/DaCapo.h"
 
+#include <algorithm>
 #include <charconv>
+#include <cstdio>
 #include <system_error>
 
 using namespace lud;
@@ -32,14 +40,15 @@ void OptionSet::custom(std::string Name, ValueMode Mode, std::string Help,
 }
 
 void OptionSet::addNumber(std::string Name, std::string Help, int64_t Min,
+                          int64_t Lo, int64_t Hi,
                           std::function<void(int64_t)> Store) {
   std::string N = Name;
   Options.push_back(
       {std::move(Name), std::move(Help), ValueMode::Required,
-       [N, Min, Store = std::move(Store)](const std::string &S) {
+       [N, Min, Lo, Hi, Store = std::move(Store)](const std::string &S) {
          // Full-consumption parse: "12abc", "abc", and "" are errors, not
          // silent prefixes, and out-of-range values are diagnosed rather
-         // than saturated.
+         // than saturated or truncated into the field's type.
          int64_t V = 0;
          auto [Ptr, Ec] = std::from_chars(S.data(), S.data() + S.size(), V);
          if (Ec == std::errc::result_out_of_range) {
@@ -58,6 +67,11 @@ void OptionSet::addNumber(std::string Name, std::string Help, int64_t Min,
            else
              errs() << "option '" << N << "' requires a value >= " << Min
                     << "\n";
+           return false;
+         }
+         if (V < Lo || V > Hi) {
+           errs() << "option '" << N << "' value '" << S
+                  << "' is out of range\n";
            return false;
          }
          Store(V);
@@ -139,8 +153,10 @@ void cli::clientsOption(OptionSet &P, ClientSet &Set, std::string Help) {
            });
 }
 
-void cli::engineOption(OptionSet &P, EngineKind &E, std::string Help) {
-  P.custom("--engine", ValueMode::Required, std::move(Help),
+void cli::engineOption(OptionSet &P, EngineKind &E) {
+  P.custom("--engine", ValueMode::Required,
+           "E  execution backend: interp (reference) or threaded (fast; "
+           "default from LUD_ENGINE)",
            [&E](const std::string &V) {
              if (parseEngineKind(V, E))
                return true;
@@ -148,6 +164,90 @@ void cli::engineOption(OptionSet &P, EngineKind &E, std::string Help) {
                     << "' (valid: " << validEngineNames() << ")\n";
              return false;
            });
+}
+
+void cli::statsOptions(OptionSet &P, StatsOptions &S) {
+  P.custom("--stats", ValueMode::Optional,
+           "[=json|csv]  emit the profiler's own telemetry (default: text)",
+           [&S](const std::string &V) {
+             if (V.empty())
+               S.Format = StatsFormat::Text;
+             else if (V == "json")
+               S.Format = StatsFormat::Json;
+             else if (V == "csv")
+               S.Format = StatsFormat::Csv;
+             else {
+               errs() << "option '--stats' expects 'json' or 'csv'\n";
+               return false;
+             }
+             return true;
+           });
+  P.str("--stats-out", S.OutPath,
+        "F  write the telemetry to file F instead of stdout");
+}
+
+bool cli::writeStats(const obs::MetricsRegistry *R, const StatsOptions &S) {
+  if (!R || !S.enabled())
+    return true;
+  std::FILE *F = stdout;
+  if (!S.OutPath.empty() && !(F = std::fopen(S.OutPath.c_str(), "wb"))) {
+    errs() << "cannot write '" << S.OutPath << "'\n";
+    return false;
+  }
+  {
+    FileOutStream FOS(F);
+    if (S.Format == StatsFormat::Json)
+      R->writeJson(FOS);
+    else if (S.Format == StatsFormat::Csv)
+      R->writeCsv(FOS);
+    else
+      R->writeText(FOS);
+  }
+  if (F != stdout)
+    std::fclose(F);
+  return true;
+}
+
+bool cli::dumpGraph(const FrozenGraph &FG, const std::string &Path,
+                    OutStream &OS) {
+  std::FILE *F = std::fopen(Path.c_str(), "wb");
+  if (!F) {
+    errs() << "cannot write '" << Path << "'\n";
+    return false;
+  }
+  {
+    FileOutStream FOS(F);
+    writeGraph(FG, FOS);
+  }
+  std::fclose(F);
+  OS << "Gcost written to " << Path << "\n";
+  return true;
+}
+
+std::unique_ptr<Module> cli::loadProgram(const std::string &Path) {
+  std::string Text;
+  if (!trace::readFileBytes(Path, Text)) {
+    errs() << "cannot read '" << Path << "'\n";
+    return nullptr;
+  }
+  std::vector<std::string> Errors;
+  std::unique_ptr<Module> M = parseModule(Text, Errors);
+  if (!M)
+    for (const std::string &E : Errors)
+      errs() << Path << ": " << E << "\n";
+  return M;
+}
+
+std::unique_ptr<Module> cli::buildNamedWorkload(const std::string &Name,
+                                                int64_t Scale) {
+  if (Name == "composed")
+    return std::move(buildComposedWorkload(Scale).M);
+  const std::vector<std::string> &Names = dacapoNames();
+  if (std::find(Names.begin(), Names.end(), Name) != Names.end())
+    return std::move(buildWorkload(Name, Scale).M);
+  errs() << "unknown workload '" << Name
+         << "' (expected a DaCapo analogue or 'composed')\n";
+  return nullptr;
 }
 
 void OptionSet::usage() const { usage(errs()); }

@@ -17,6 +17,10 @@
 /// validates their count itself (lud-run wants exactly one program,
 /// lud-analyze a program and a graph).
 ///
+/// The plumbing the tools share past parsing lives here too, once:
+/// `--stats`/`--stats-out` and the telemetry writer, the `--dump-graph`
+/// writer, and loading the program a tool runs or analyzes.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LUD_TOOLS_CLIOPTIONS_H
@@ -28,12 +32,20 @@
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace lud {
 
+class FrozenGraph;
+class Module;
 class OutStream;
+
+namespace obs {
+class MetricsRegistry;
+}
 
 namespace cli {
 
@@ -63,11 +75,22 @@ public:
   void flag(std::string Name, bool &B, std::string Help);
 
   /// Integer option. Values below \p Min are rejected; Min == 1 produces
-  /// the "requires a positive value" diagnostic.
+  /// the "requires a positive value" diagnostic. Values outside T's range
+  /// get the out-of-range diagnostic before anything is stored, so \p V
+  /// never holds a truncated number: declare it with the type its
+  /// consumer takes.
   template <typename T>
   void number(std::string Name, T &V, std::string Help,
               int64_t Min = std::numeric_limits<int64_t>::min()) {
-    addNumber(std::move(Name), std::move(Help), Min,
+    static_assert(std::is_integral_v<T> && sizeof(T) <= sizeof(int64_t));
+    constexpr int64_t Lo =
+        std::is_signed_v<T> ? int64_t(std::numeric_limits<T>::min()) : 0;
+    constexpr int64_t Hi =
+        uint64_t(std::numeric_limits<T>::max()) >
+                uint64_t(std::numeric_limits<int64_t>::max())
+            ? std::numeric_limits<int64_t>::max()
+            : int64_t(std::numeric_limits<T>::max());
+    addNumber(std::move(Name), std::move(Help), Min, Lo, Hi,
               [&V](int64_t X) { V = T(X); });
   }
 
@@ -108,7 +131,7 @@ private:
   };
 
   void addNumber(std::string Name, std::string Help, int64_t Min,
-                 std::function<void(int64_t)> Store);
+                 int64_t Lo, int64_t Hi, std::function<void(int64_t)> Store);
   const Option *findOption(const std::string &Name) const;
 
   std::string Tool;
@@ -120,13 +143,10 @@ private:
 
 /// Declares the shared `--engine` option on \p P: parses the value with
 /// parseEngineKind into \p E and rejects anything else with a diagnostic
-/// listing the valid engine names. Every executing tool (and lud-replay,
-/// where the knob is accepted-but-inert) declares it through this helper so
-/// the spelling, validation and diagnostic never drift between tools.
-void engineOption(OptionSet &P, EngineKind &E,
-                  std::string Help = "E  execution backend: interp "
-                                     "(reference) or threaded (fast; "
-                                     "default from LUD_ENGINE)");
+/// listing the valid engine names. Every executing tool declares it
+/// through this helper so the spelling, validation and diagnostic never
+/// drift between tools.
+void engineOption(OptionSet &P, EngineKind &E);
 
 /// Declares the shared `--clients` option on \p P: parses the value with
 /// parseClientSet (grammar: "all" or a comma list of copy, nullness,
@@ -137,6 +157,40 @@ void clientsOption(OptionSet &P, ClientSet &Set,
                    std::string Help = "LIST  client analyses, "
                                       "comma-separated: copy, nullness, "
                                       "typestate, or all");
+
+/// Telemetry format chosen by `--stats[=json|csv]`.
+enum class StatsFormat : uint8_t { Off, Text, Json, Csv };
+
+/// Where and how a tool writes its session's telemetry.
+struct StatsOptions {
+  StatsFormat Format = StatsFormat::Off;
+  /// File to write to; empty means stdout.
+  std::string OutPath;
+  bool enabled() const { return Format != StatsFormat::Off; }
+};
+
+/// Declares `--stats[=json|csv]` and `--stats-out F` on \p P.
+void statsOptions(OptionSet &P, StatsOptions &S);
+
+/// Writes \p R in \p S's format to S.OutPath or stdout. Timing metrics are
+/// included — this is the human/CI surface, not the determinism-test
+/// surface. No-op when \p R is null or stats are off; false after printing
+/// a diagnostic when the file cannot be written.
+bool writeStats(const obs::MetricsRegistry *R, const StatsOptions &S);
+
+/// Serializes \p FG to \p Path (`--dump-graph`) and reports it on \p OS;
+/// false after printing a diagnostic when the file cannot be written.
+bool dumpGraph(const FrozenGraph &FG, const std::string &Path, OutStream &OS);
+
+/// Reads and parses the .lud program at \p Path; null after printing why
+/// (unreadable file, or each parse error prefixed with \p Path).
+std::unique_ptr<Module> loadProgram(const std::string &Path);
+
+/// The module `--workload NAME --scale N` names: one of the 18 DaCapo
+/// analogues or "composed" (the paper-scale tier); null after printing
+/// the unknown-workload diagnostic.
+std::unique_ptr<Module> buildNamedWorkload(const std::string &Name,
+                                           int64_t Scale);
 
 } // namespace cli
 } // namespace lud

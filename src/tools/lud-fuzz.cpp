@@ -125,9 +125,7 @@ int main(int argc, char **argv) {
            [&](const std::string &S) {
              return parseBool("--caches", S, Check.Slicing.HotPathCaches);
            });
-  cli::engineOption(P, Check.Engine,
-                    "E  reference engine for --check: interp or threaded "
-                    "(the engines mode cross-checks the other one)");
+  cli::engineOption(P, Check.Engine);
   P.custom("--engines", cli::ValueMode::Required,
            "0|1  cross-check threaded vs interpreted execution (default 1)",
            [&](const std::string &S) {

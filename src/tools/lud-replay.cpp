@@ -20,16 +20,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/Clients.h"
-#include "ir/Parser.h"
 #include "profiling/FrozenGraph.h"
-#include "profiling/GraphIO.h"
 #include "service/Render.h"
 #include "service/SessionManager.h"
 #include "support/OutStream.h"
 #include "tools/CliOptions.h"
 
-#include <cstdio>
 #include <string>
 #include <vector>
 
@@ -37,105 +33,34 @@ using namespace lud;
 
 namespace {
 
-enum class StatsMode { Off, Text, Json, Csv };
-
 struct Options {
   std::string Program;
   std::vector<std::string> Traces;
-  bool Report = false;
-  bool Dead = false;
-  bool Caches = false;
+  /// Sections to render; Spec.Client carries --depth and --top.
+  serve::ReportSpec Spec;
   ClientSet Clients;
-  int64_t Slots = 16;
-  int64_t Threads = 1;
-  ClientOptions Client;
+  uint32_t Slots = 16;
+  unsigned Threads = 1;
   std::string DumpGraph;
-  StatsMode Stats = StatsMode::Off;
-  std::string StatsOut;
-  EngineKind Engine = defaultEngineKind();
+  cli::StatsOptions Stats;
 };
 
 void declareOptions(cli::OptionSet &P, Options &O) {
-  P.flag("--report", O.Report, "rank data structures by cost/benefit");
-  P.flag("--dead", O.Dead, "print IPD/IPP/NLD bloat metrics");
-  P.flag("--caches", O.Caches, "rank structures by cache effectiveness");
+  P.flag("--report", O.Spec.Report, "rank data structures by cost/benefit");
+  P.flag("--dead", O.Spec.Dead, "print IPD/IPP/NLD bloat metrics");
+  P.flag("--caches", O.Spec.Caches, "rank structures by cache effectiveness");
   cli::clientsOption(P, O.Clients,
                      "LIST  client analyses to re-drive from the trace: "
                      "copy, nullness, typestate, or all");
   P.number("--slots", O.Slots, "N  context slots s (default 16)", /*Min=*/1);
-  cli::engineOption(P, O.Engine,
-                    "E  execution backend name (validated for symmetry "
-                    "with lud-run; replay never executes code, so the "
-                    "replayed results are engine-independent)");
-  P.number("--depth", O.Client.Depth,
+  P.number("--depth", O.Spec.Client.Depth,
            "N  reference-tree height n (default 4)");
-  P.number("--top", O.Client.TopK, "K  rows per report (default 15)");
+  P.number("--top", O.Spec.Client.TopK, "K  rows per report (default 15)");
   P.number("--threads", O.Threads, "N  worker threads for multiple traces",
            /*Min=*/1);
   P.str("--dump-graph", O.DumpGraph,
         "F  serialize the replayed Gcost to file F");
-  P.custom("--stats", cli::ValueMode::Optional,
-           "[=json|csv]  emit the session's telemetry (default: text)",
-           [&O](const std::string &V) {
-             if (V.empty())
-               O.Stats = StatsMode::Text;
-             else if (V == "json")
-               O.Stats = StatsMode::Json;
-             else if (V == "csv")
-               O.Stats = StatsMode::Csv;
-             else {
-               errs() << "option '--stats' expects 'json' or 'csv'\n";
-               return false;
-             }
-             return true;
-           });
-  P.str("--stats-out", O.StatsOut,
-        "F  write the telemetry to file F instead of stdout");
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
-}
-
-bool emitStats(const ProfileSession &S, const Options &O) {
-  const obs::MetricsRegistry *R = S.stats();
-  if (!R)
-    return true;
-  std::FILE *F = nullptr;
-  if (!O.StatsOut.empty()) {
-    F = std::fopen(O.StatsOut.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.StatsOut << "'\n";
-      return false;
-    }
-  }
-  {
-    FileOutStream FOS(F ? F : stdout);
-    switch (O.Stats) {
-    case StatsMode::Off:
-      break;
-    case StatsMode::Text:
-      R->writeText(FOS);
-      break;
-    case StatsMode::Json:
-      R->writeJson(FOS);
-      break;
-    case StatsMode::Csv:
-      R->writeCsv(FOS);
-      break;
-    }
-  }
-  if (F)
-    std::fclose(F);
-  return true;
+  cli::statsOptions(P, O.Stats);
 }
 
 } // namespace
@@ -158,26 +83,16 @@ int main(int argc, char **argv) {
   O.Program = Cli.positionals()[0];
   O.Traces.assign(Cli.positionals().begin() + 1, Cli.positionals().end());
 
-  std::string Text;
-  if (!readFile(O.Program, Text)) {
-    errs() << "cannot read '" << O.Program << "'\n";
+  std::unique_ptr<Module> M = cli::loadProgram(O.Program);
+  if (!M)
     return 1;
-  }
-  std::vector<std::string> Errors;
-  std::unique_ptr<Module> M = parseModule(Text, Errors);
-  if (!M) {
-    for (const std::string &E : Errors)
-      errs() << O.Program << ": " << E << "\n";
-    return 1;
-  }
 
   SessionConfig SCfg;
-  SCfg.Slicing.ContextSlots = uint32_t(O.Slots);
+  SCfg.Slicing.ContextSlots = O.Slots;
   SCfg.Clients = O.Clients;
-  SCfg.CollectStats = O.Stats != StatsMode::Off;
+  SCfg.CollectStats = O.Stats.enabled();
   ShardedSession SR =
-      replayShardedSession(*M, O.Traces, std::move(SCfg),
-                           unsigned(O.Threads));
+      replayShardedSession(*M, O.Traces, std::move(SCfg), O.Threads);
   if (!SR.Error.empty()) {
     errs() << SR.Error << "\n";
     return 1;
@@ -195,25 +110,13 @@ int main(int argc, char **argv) {
   serve::renderReplaySummary(Session, FG, SR.Events,
                              uint64_t(O.Traces.size()), OS);
 
-  if (!O.DumpGraph.empty()) {
-    std::FILE *F = std::fopen(O.DumpGraph.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.DumpGraph << "'\n";
-      return 1;
-    }
-    FileOutStream FOS(F);
-    writeGraph(FG, FOS);
-    std::fclose(F);
-    OS << "Gcost written to " << O.DumpGraph << "\n";
-  }
+  if (!O.DumpGraph.empty() && !cli::dumpGraph(FG, O.DumpGraph, OS))
+    return 1;
 
-  serve::ReportSpec Spec;
-  Spec.Report = O.Report;
-  Spec.Dead = O.Dead;
-  Spec.Caches = O.Caches;
-  Spec.Client = O.Client;
-  serve::renderReportSections(*M, Session, FG, Spec, OS);
-  if (!emitStats(Session, O))
+  serve::renderReportSections(*M, &Session, FG, O.Spec, OS);
+  if (O.Spec.Dead)
+    serve::renderBloatMetrics(FG, FG.totalFreq(), OS);
+  if (!cli::writeStats(Session.stats(), O.Stats))
     return 1;
   return 0;
 }

@@ -23,23 +23,14 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "analysis/CacheCost.h"
-#include "analysis/Optimizer.h"
 #include "analysis/PassManager.h"
-#include "analysis/Clients.h"
-#include "analysis/DeadValues.h"
-#include "analysis/Report.h"
 #include "ir/Obfuscate.h"
-#include "ir/Parser.h"
 #include "ir/Printer.h"
-#include "profiling/GraphIO.h"
+#include "service/Render.h"
 #include "service/SessionManager.h"
 #include "support/OutStream.h"
 #include "tools/CliOptions.h"
-#include "workloads/Composed.h"
 #include "workloads/ParallelDriver.h"
-
-#include <algorithm>
 
 #include <cstdio>
 #include <string>
@@ -49,23 +40,16 @@ using namespace lud;
 
 namespace {
 
-enum class StatsMode { Off, Text, Json, Csv };
-
 struct Options {
   std::string File;
   std::string WorkloadName;
   int64_t WorkloadScale = 2000;
-  bool Report = false;
-  bool Dead = false;
-  bool Overwrites = false;
-  bool Predicates = false;
-  bool Methods = false;
-  bool Caches = false;
+  /// Sections to render; Spec.Client carries --depth and --top.
+  serve::ReportSpec Spec;
   bool PrintIR = false;
   bool Baseline = false;
   ClientSet Clients;
-  int64_t Slots = 16;
-  ClientOptions Client;
+  uint32_t Slots = 16;
   std::string DumpGraph;
   bool Obfuscate = false;
   ObfuscateOptions Obf;
@@ -75,27 +59,27 @@ struct Options {
   std::string OptimizeOut;
   std::string RecordPath;
   std::string ReplayPath;
-  StatsMode Stats = StatsMode::Off;
-  std::string StatsOut;
-  int64_t Shards = 1;
-  int64_t Threads = 1;
+  cli::StatsOptions Stats;
+  unsigned Shards = 1;
+  unsigned Threads = 1;
   EngineKind Engine = defaultEngineKind();
 };
 
 bool isPowerOfTwo(uint32_t N) { return N != 0 && (N & (N - 1)) == 0; }
 
 void declareOptions(cli::OptionSet &P, Options &O) {
-  P.flag("--report", O.Report, "rank data structures by cost/benefit");
-  P.flag("--dead", O.Dead, "print IPD/IPP/NLD bloat metrics");
-  P.flag("--overwrites", O.Overwrites,
+  serve::ReportSpec &S = O.Spec;
+  P.flag("--report", S.Report, "rank data structures by cost/benefit");
+  P.flag("--dead", S.Dead, "print IPD/IPP/NLD bloat metrics");
+  P.flag("--overwrites", S.Overwrites,
          "rank locations rewritten before read");
-  P.flag("--predicates", O.Predicates, "list always-constant predicates");
-  P.flag("--methods", O.Methods, "rank methods by return-value cost");
-  P.flag("--caches", O.Caches, "rank structures by cache effectiveness");
+  P.flag("--predicates", S.Predicates, "list always-constant predicates");
+  P.flag("--methods", S.Methods, "rank methods by return-value cost");
+  P.flag("--caches", S.Caches, "rank structures by cache effectiveness");
   P.custom("--all", cli::ValueMode::None, "everything above",
-           [&O](const std::string &) {
-             O.Report = O.Dead = O.Overwrites = O.Predicates = O.Methods =
-                 O.Caches = true;
+           [&S](const std::string &) {
+             S.Report = S.Dead = S.Overwrites = S.Predicates = S.Methods =
+                 S.Caches = true;
              return true;
            });
   cli::clientsOption(P, O.Clients,
@@ -164,31 +148,15 @@ void declareOptions(cli::OptionSet &P, Options &O) {
   P.str("--optimize-out", O.OptimizeOut,
         "F  write the rewritten program to F (implies --optimize)");
   P.number("--slots", O.Slots, "N  context slots s (default 16)", /*Min=*/1);
-  P.number("--depth", O.Client.Depth,
+  P.number("--depth", S.Client.Depth,
            "N  reference-tree height n (default 4)");
-  P.number("--top", O.Client.TopK, "K  rows per report (default 15)");
+  P.number("--top", S.Client.TopK, "K  rows per report (default 15)");
   P.number("--shards", O.Shards,
            "N  profile N sharded runs and merge them (default 1)",
            /*Min=*/1);
   P.number("--threads", O.Threads, "N  worker threads for --shards",
            /*Min=*/1);
-  P.custom("--stats", cli::ValueMode::Optional,
-           "[=json|csv]  emit the profiler's own telemetry (default: text)",
-           [&O](const std::string &V) {
-             if (V.empty())
-               O.Stats = StatsMode::Text;
-             else if (V == "json")
-               O.Stats = StatsMode::Json;
-             else if (V == "csv")
-               O.Stats = StatsMode::Csv;
-             else {
-               errs() << "option '--stats' expects 'json' or 'csv'\n";
-               return false;
-             }
-             return true;
-           });
-  P.str("--stats-out", O.StatsOut,
-        "F  write the telemetry to file F instead of stdout");
+  cli::statsOptions(P, O.Stats);
 }
 
 bool parseArgs(cli::OptionSet &P, int argc, char **argv, Options &O) {
@@ -202,8 +170,8 @@ bool parseArgs(cli::OptionSet &P, int argc, char **argv, Options &O) {
   }
   if (!P.positionals().empty())
     O.File = P.positionals()[0];
-  if (!isPowerOfTwo(uint32_t(O.Slots)))
-    errs() << "warning: --slots " << uint64_t(O.Slots)
+  if (!isPowerOfTwo(O.Slots))
+    errs() << "warning: --slots " << O.Slots
            << " is not a power of two; contexts fold by modulo either "
               "way, but results won't line up with the paper's s = 2^k "
               "sweeps\n";
@@ -238,54 +206,6 @@ bool parseArgs(cli::OptionSet &P, int argc, char **argv, Options &O) {
   return !O.File.empty() || !O.WorkloadName.empty();
 }
 
-/// Writes the session's registry in the requested format, to --stats-out
-/// or stdout. Timing metrics are included — this is the human/CI surface,
-/// not the determinism-test surface.
-bool emitStats(const ProfileSession &S, const Options &O) {
-  const obs::MetricsRegistry *R = S.stats();
-  if (!R)
-    return true;
-  std::FILE *F = nullptr;
-  if (!O.StatsOut.empty()) {
-    F = std::fopen(O.StatsOut.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.StatsOut << "'\n";
-      return false;
-    }
-  }
-  {
-    FileOutStream FOS(F ? F : stdout);
-    switch (O.Stats) {
-    case StatsMode::Off:
-      break;
-    case StatsMode::Text:
-      R->writeText(FOS);
-      break;
-    case StatsMode::Json:
-      R->writeJson(FOS);
-      break;
-    case StatsMode::Csv:
-      R->writeCsv(FOS);
-      break;
-    }
-  }
-  if (F)
-    std::fclose(F);
-  return true;
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
-}
-
 } // namespace
 
 int main(int argc, char **argv) {
@@ -301,30 +221,10 @@ int main(int argc, char **argv) {
 
   std::unique_ptr<Module> M;
   if (!O.WorkloadName.empty()) {
-    const std::vector<std::string> &Names = dacapoNames();
-    if (O.WorkloadName == "composed") {
-      M = std::move(buildComposedWorkload(O.WorkloadScale).M);
-    } else if (std::find(Names.begin(), Names.end(), O.WorkloadName) !=
-               Names.end()) {
-      M = std::move(buildWorkload(O.WorkloadName, O.WorkloadScale).M);
-    } else {
-      errs() << "unknown workload '" << O.WorkloadName
-             << "' (expected a DaCapo analogue or 'composed')\n";
+    if (!(M = cli::buildNamedWorkload(O.WorkloadName, O.WorkloadScale)))
       return 2;
-    }
-  } else {
-    std::string Text;
-    if (!readFile(O.File, Text)) {
-      errs() << "cannot read '" << O.File << "'\n";
-      return 1;
-    }
-    std::vector<std::string> Errors;
-    M = parseModule(Text, Errors);
-    if (!M) {
-      for (const std::string &E : Errors)
-        errs() << O.File << ": " << E << "\n";
-      return 1;
-    }
+  } else if (!(M = cli::loadProgram(O.File))) {
+    return 1;
   }
 
   if (O.Obfuscate) {
@@ -371,7 +271,7 @@ int main(int argc, char **argv) {
     BCfg.Engine = O.Engine;
     BCfg.Instrument = false;
     BCfg.Run = RCfg;
-    BCfg.CollectStats = O.Stats != StatsMode::Off;
+    BCfg.CollectStats = O.Stats.enabled();
     BCfg.RecordPath = O.RecordPath;
     ProfileSession Session(std::move(BCfg));
     TimedRun R = Session.run(*M);
@@ -386,7 +286,7 @@ int main(int argc, char **argv) {
     OS.printFixed(R.Seconds * 1e3, 2);
     OS << " ms, result " << R.Run.ReturnValue.asInt() << ", sink "
        << R.Run.SinkHash << "\n";
-    if (!emitStats(Session, O))
+    if (!cli::writeStats(Session.stats(), O.Stats))
       return 1;
     return R.Run.Status == RunStatus::Finished ? 0 : 1;
   }
@@ -396,39 +296,37 @@ int main(int argc, char **argv) {
   // default) is a plain single session.
   SessionConfig SCfg;
   SCfg.Engine = O.Engine;
-  SCfg.Slicing.ContextSlots = uint32_t(O.Slots);
+  SCfg.Slicing.ContextSlots = O.Slots;
   SCfg.Clients = O.Clients;
   SCfg.Run = RCfg;
-  SCfg.CollectStats = O.Stats != StatsMode::Off;
+  SCfg.CollectStats = O.Stats.enabled();
   SCfg.RecordPath = O.RecordPath;
   ShardedSession SR;
   if (!O.ReplayPath.empty()) {
     // Re-drive the same analyses from the recorded hook stream; shard N
     // reads the file shard N of the recording run wrote.
     std::vector<std::string> Paths;
-    for (unsigned S = 0; S != unsigned(O.Shards); ++S)
-      Paths.push_back(shardTracePath(O.ReplayPath, S, unsigned(O.Shards)));
-    SR = replayShardedSession(*M, Paths, std::move(SCfg),
-                              unsigned(O.Threads));
+    for (unsigned S = 0; S != O.Shards; ++S)
+      Paths.push_back(shardTracePath(O.ReplayPath, S, O.Shards));
+    SR = replayShardedSession(*M, Paths, std::move(SCfg), O.Threads);
   } else {
-    SR = runShardedSession(*M, unsigned(O.Shards), std::move(SCfg),
-                           unsigned(O.Threads));
+    SR = runShardedSession(*M, O.Shards, std::move(SCfg), O.Threads);
   }
   if (!SR.Error.empty()) {
     errs() << SR.Error << "\n";
     return 1;
   }
   ProfileSession &Session = *SR.Session;
-  TimedRun P{SR.Run, SR.Seconds};
+  const RunResult &Run = SR.Run;
   if (!O.ReplayPath.empty()) {
-    OS << "replayed " << SR.Events << " events from " << uint64_t(O.Shards)
+    OS << "replayed " << SR.Events << " events from " << O.Shards
        << (O.Shards == 1 ? " trace\n" : " traces\n");
   } else {
     OS << "status: "
-       << (P.Run.Status == RunStatus::Finished ? "finished"
-                                               : trapKindName(P.Run.Trap))
-       << ", " << P.Run.ExecutedInstrs << " instructions, result "
-       << P.Run.ReturnValue.asInt() << "\n";
+       << (Run.Status == RunStatus::Finished ? "finished"
+                                             : trapKindName(Run.Trap))
+       << ", " << Run.ExecutedInstrs << " instructions, result "
+       << Run.ReturnValue.asInt() << "\n";
     if (!O.RecordPath.empty())
       OS << "trace written to " << O.RecordPath
          << (O.Shards > 1 ? " (one .shardN file per shard)\n" : "\n");
@@ -451,51 +349,17 @@ int main(int argc, char **argv) {
   if (obs::MetricsRegistry *Stats = Session.stats())
     FG.accountStats(*Stats);
 
-  if (!O.DumpGraph.empty()) {
-    std::FILE *F = std::fopen(O.DumpGraph.c_str(), "wb");
-    if (!F) {
-      errs() << "cannot write '" << O.DumpGraph << "'\n";
-      return 1;
-    }
-    FileOutStream FOS(F);
-    writeGraph(FG, FOS);
-    std::fclose(F);
-    OS << "Gcost written to " << O.DumpGraph << "\n";
-  }
+  if (!O.DumpGraph.empty() && !cli::dumpGraph(FG, O.DumpGraph, OS))
+    return 1;
 
-  CostModel CM(FG);
-  if (O.Report) {
-    ReportOptions Opts;
-    Opts.Depth = O.Client.Depth;
-    LowUtilityReport Report(CM, *M, Opts);
-    OS << "\n=== low-utility data structures ===\n";
-    Report.print(OS, O.Client.TopK);
-  }
-  if (O.Overwrites) {
-    OS << "\n=== locations rewritten before read ===\n";
-    printOverwrites(rankOverwrites(Prof, *M, O.Client), OS, O.Client.TopK);
-  }
-  if (O.Predicates) {
-    OS << "\n=== always-constant predicates ===\n";
-    printConstantPredicates(findConstantPredicates(Prof, CM, *M, O.Client),
-                            OS, O.Client.TopK);
-  }
-  if (O.Methods) {
-    OS << "\n=== costliest method return values ===\n";
-    printMethodCosts(computeMethodCosts(CM, *M), OS, O.Client.TopK);
-  }
-  if (O.Caches) {
-    OS << "\n=== cache effectiveness (least effective first) ===\n";
-    printCacheScores(rankCacheEffectiveness(CM, *M), OS, O.Client.TopK);
-  }
-  Session.printClientReports(*M, OS, O.Client.TopK);
+  serve::renderReportSections(*M, &Session, FG, O.Spec, OS);
   if (O.Optimize) {
     // The pipeline profiles, proposes, validates (both engines) and
     // commits or rolls back each candidate on its own; the session above
     // only supplied the human-facing reports.
     opt::PipelineOptions PO;
     PO.Engine = O.Engine;
-    PO.Slicing.ContextSlots = uint32_t(O.Slots);
+    PO.Slicing.ContextSlots = O.Slots;
     PO.Passes = O.OptimizePasses;
     opt::PassManager PM(std::move(PO));
     opt::PipelineResult R = PM.run(*M);
@@ -516,23 +380,15 @@ int main(int argc, char **argv) {
       OS << "rewritten program written to " << O.OptimizeOut << "\n";
     }
   }
-  if (O.Dead) {
+  if (O.Spec.Dead) {
     // Under --replay there is no RunResult; the graph's own frequency total
     // is the denominator, as in offline lud-analyze.
-    uint64_t ExecInstrs =
-        O.ReplayPath.empty() ? P.Run.ExecutedInstrs : FG.totalFreq();
-    DeadValueAnalysis DV = computeDeadValues(FG, ExecInstrs);
-    OS << "\n=== bloat metrics ===\nIPD ";
-    OS.printFixed(100.0 * DV.Metrics.ipd(), 1);
-    OS << "%   IPP ";
-    OS.printFixed(100.0 * DV.Metrics.ipp(), 1);
-    OS << "%   NLD ";
-    OS.printFixed(100.0 * DV.Metrics.nld(), 1);
-    OS << "%\n";
+    serve::renderBloatMetrics(
+        FG, O.ReplayPath.empty() ? Run.ExecutedInstrs : FG.totalFreq(), OS);
   }
-  if (!emitStats(Session, O))
+  if (!cli::writeStats(Session.stats(), O.Stats))
     return 1;
   if (!O.ReplayPath.empty())
     return 0; // Replay has no run status of its own.
-  return P.Run.Status == RunStatus::Finished ? 0 : 1;
+  return Run.Status == RunStatus::Finished ? 0 : 1;
 }

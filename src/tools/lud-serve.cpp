@@ -27,16 +27,12 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "ir/Parser.h"
 #include "service/Client.h"
 #include "service/Daemon.h"
 #include "support/OutStream.h"
 #include "tools/CliOptions.h"
 #include "trace/TraceIO.h"
-#include "workloads/Composed.h"
-#include "workloads/DaCapo.h"
 
-#include <algorithm>
 #include <cstdio>
 #include <string>
 #include <vector>
@@ -50,17 +46,15 @@ struct Options {
   std::string WorkloadName;
   int64_t WorkloadScale = 2000;
   std::string SocketPath = "/tmp/lud-serve.sock";
-  int64_t HttpPort = 0;
-  int64_t Workers = 4;
-  bool Report = false;
-  bool Dead = false;
-  bool Caches = false;
+  uint16_t HttpPort = 0;
+  unsigned Workers = 4;
+  /// Sections /report renders; Spec.Client carries --depth and --top.
+  serve::ReportSpec Spec;
   bool Optimize = false;
   ClientSet Clients;
-  int64_t Slots = 16;
-  ClientOptions Client;
-  int64_t MaxSessionBytes = int64_t(serve::SessionLimits().MaxSessionBytes);
-  int64_t MaxPendingBytes = int64_t(serve::SessionLimits().MaxPendingBytes);
+  uint32_t Slots = 16;
+  uint64_t MaxSessionBytes = serve::SessionLimits().MaxSessionBytes;
+  uint64_t MaxPendingBytes = serve::SessionLimits().MaxPendingBytes;
   int64_t IdleTimeout = 0;
   bool Send = false;
   std::string GetPath;
@@ -74,9 +68,10 @@ void declareOptions(cli::OptionSet &P, Options &O) {
            /*Min=*/0);
   P.number("--workers", O.Workers, "N  replay worker threads (default 4)",
            /*Min=*/1);
-  P.flag("--report", O.Report, "serve the cost/benefit ranking in /report");
-  P.flag("--dead", O.Dead, "serve IPD/IPP/NLD bloat metrics in /report");
-  P.flag("--caches", O.Caches, "serve cache effectiveness in /report");
+  P.flag("--report", O.Spec.Report,
+         "serve the cost/benefit ranking in /report");
+  P.flag("--dead", O.Spec.Dead, "serve IPD/IPP/NLD bloat metrics in /report");
+  P.flag("--caches", O.Spec.Caches, "serve cache effectiveness in /report");
   P.flag("--optimize", O.Optimize,
          "run the rewrite-pass pipeline at startup; /report gains the "
          "optimizer section and /stats the opt.* metrics");
@@ -84,9 +79,9 @@ void declareOptions(cli::OptionSet &P, Options &O) {
                      "LIST  default client analyses per session: copy, "
                      "nullness, typestate, or all");
   P.number("--slots", O.Slots, "N  context slots s (default 16)", /*Min=*/1);
-  P.number("--depth", O.Client.Depth,
+  P.number("--depth", O.Spec.Client.Depth,
            "N  reference-tree height n (default 4)");
-  P.number("--top", O.Client.TopK, "K  rows per report (default 15)");
+  P.number("--top", O.Spec.Client.TopK, "K  rows per report (default 15)");
   P.number("--max-session-bytes", O.MaxSessionBytes,
            "N  per-session ingest quota in bytes", /*Min=*/1);
   P.number("--max-pending-bytes", O.MaxPendingBytes,
@@ -102,18 +97,6 @@ void declareOptions(cli::OptionSet &P, Options &O) {
          "stream the trace operands into a running daemon and exit");
   P.str("--get", O.GetPath,
         "PATH  fetch PATH (e.g. /report) from a running daemon and exit");
-}
-
-bool readFile(const std::string &Path, std::string &Out) {
-  std::FILE *F = std::fopen(Path.c_str(), "rb");
-  if (!F)
-    return false;
-  char Buf[4096];
-  size_t N;
-  while ((N = std::fread(Buf, 1, sizeof(Buf), F)) > 0)
-    Out.append(Buf, N);
-  std::fclose(F);
-  return true;
 }
 
 /// --send: one session per trace operand, whole-segment frames fed
@@ -133,7 +116,7 @@ int sendMain(const Options &O, const std::vector<std::string> &Traces) {
     Stream &S = Streams[I];
     S.Path = Traces[I];
     std::string Bytes;
-    if (!readFile(S.Path, Bytes)) {
+    if (!trace::readFileBytes(S.Path, Bytes)) {
       errs() << "cannot read '" << S.Path << "'\n";
       return 1;
     }
@@ -194,7 +177,7 @@ int main(int argc, char **argv) {
       return 2;
     }
     std::string Body, Err;
-    if (!serve::httpGet(uint16_t(O.HttpPort), O.GetPath, Body, Err)) {
+    if (!serve::httpGet(O.HttpPort, O.GetPath, Body, Err)) {
       errs() << "lud-serve: " << Err << "\n";
       return 1;
     }
@@ -218,17 +201,8 @@ int main(int argc, char **argv) {
                 "with an input file\n";
       return 2;
     }
-    const std::vector<std::string> &Names = dacapoNames();
-    if (O.WorkloadName == "composed") {
-      M = std::move(buildComposedWorkload(O.WorkloadScale).M);
-    } else if (std::find(Names.begin(), Names.end(), O.WorkloadName) !=
-               Names.end()) {
-      M = std::move(buildWorkload(O.WorkloadName, O.WorkloadScale).M);
-    } else {
-      errs() << "unknown workload '" << O.WorkloadName
-             << "' (expected a DaCapo analogue or 'composed')\n";
+    if (!(M = cli::buildNamedWorkload(O.WorkloadName, O.WorkloadScale)))
       return 2;
-    }
   } else {
     if (Cli.positionals().size() != 1) {
       errs() << "expected exactly one program file (or --workload)\n";
@@ -236,33 +210,20 @@ int main(int argc, char **argv) {
       return 2;
     }
     O.File = Cli.positionals()[0];
-    std::string Text;
-    if (!readFile(O.File, Text)) {
-      errs() << "cannot read '" << O.File << "'\n";
+    if (!(M = cli::loadProgram(O.File)))
       return 1;
-    }
-    std::vector<std::string> Errors;
-    M = parseModule(Text, Errors);
-    if (!M) {
-      for (const std::string &E : Errors)
-        errs() << O.File << ": " << E << "\n";
-      return 1;
-    }
   }
 
   serve::DaemonConfig DCfg;
   DCfg.SocketPath = O.SocketPath;
-  DCfg.HttpPort = uint16_t(O.HttpPort);
-  DCfg.Workers = unsigned(O.Workers);
+  DCfg.HttpPort = O.HttpPort;
+  DCfg.Workers = O.Workers;
   DCfg.Base.Clients = O.Clients;
-  DCfg.Base.Slicing.ContextSlots = uint32_t(O.Slots);
-  DCfg.Limits.MaxSessionBytes = uint64_t(O.MaxSessionBytes);
-  DCfg.Limits.MaxPendingBytes = uint64_t(O.MaxPendingBytes);
+  DCfg.Base.Slicing.ContextSlots = O.Slots;
+  DCfg.Limits.MaxSessionBytes = O.MaxSessionBytes;
+  DCfg.Limits.MaxPendingBytes = O.MaxPendingBytes;
   DCfg.Limits.IdleEvictSeconds = double(O.IdleTimeout);
-  DCfg.Spec.Report = O.Report;
-  DCfg.Spec.Dead = O.Dead;
-  DCfg.Spec.Caches = O.Caches;
-  DCfg.Spec.Client = O.Client;
+  DCfg.Spec = O.Spec;
   DCfg.Optimize = O.Optimize;
 
   serve::Daemon D(*M, std::move(DCfg));

@@ -11,8 +11,8 @@
 /// (copy, nullness, typestate), composes them into one pipeline
 /// (runtime/ComposedProfiler.h), and runs the module once — the paper's
 /// framework claim made executable: clients are pipeline stages, not extra
-/// passes. Sessions merge (mergeFrom) so the parallel driver's sharded fold
-/// covers client state, and render their clients' report sections through
+/// passes. Sessions merge (mergeFrom) so the sharded driver's fold covers
+/// client state, and render their clients' report sections through
 /// the uniform analysis/Report printers.
 ///
 /// The session lifecycle is open (prepare) → feed (run/replay) → fold
@@ -166,7 +166,7 @@ public:
 
   /// Folds another session's profilers into this one, client state
   /// included, treating \p O as the later of two sequential runs. Both
-  /// sessions must share the configuration and module (the parallel
+  /// sessions must share the configuration and module (the sharded
   /// driver's shards); profiler sets must match. Telemetry registries fold
   /// too, and the state-derived metrics are re-derived from the merged
   /// profilers afterwards.
@@ -177,8 +177,8 @@ public:
   void printClientReports(const Module &M, OutStream &OS,
                           size_t TopK = 15) const;
 
-  /// Releases the substrate to a caller that outlives the session (the
-  /// parallel driver's per-shard ProfiledRun results).
+  /// Releases the substrate to a caller that outlives the session (a
+  /// ProfiledRun).
   std::unique_ptr<SlicingProfiler> takeSlicing() { return std::move(Slicing); }
 
 private:
@@ -200,8 +200,8 @@ private:
 };
 
 /// A substrate-only run's outcome plus its profiler (holding Gcost),
-/// released from the session that produced it (takeSlicing) — the
-/// parallel driver's per-shard result shape.
+/// released from the session that produced it (takeSlicing), for callers
+/// that keep the graph after the session is gone.
 struct ProfiledRun {
   RunResult Run;
   double Seconds = 0;

@@ -6,10 +6,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A multi-workload profiling driver: runs are sharded over a small thread
-/// pool with one SlicingProfiler (and one Heap and Interpreter) per shard,
-/// and the per-shard profiles are folded back into a single Gcost with
-/// SlicingProfiler::mergeFrom. Nothing is shared between in-flight shards,
+/// The sharded profiling driver: runs are sharded over a small thread pool
+/// with one ProfileSession (and one Heap and engine) per shard, and the
+/// per-shard sessions are folded back into one with
+/// ProfileSession::mergeFrom. Nothing is shared between in-flight shards,
 /// so no locks sit on the event hot path; the fold happens once, after the
 /// pool drains, in shard-index order. Because the fold order is fixed and
 /// mergeFrom re-interns nodes in the source graph's creation order, the
@@ -23,44 +23,14 @@
 
 #include "workloads/Driver.h"
 
-#include <vector>
+#include <string>
 
 namespace lud {
 
-struct ParallelConfig {
-  /// Worker threads; clamped to the number of jobs. 1 runs the whole batch
-  /// on the calling thread (no pool), which is the reference the merged
-  /// results are tested against.
-  unsigned Threads = 4;
-  SlicingConfig Slicing;
-  RunConfig Run;
-};
-
-/// Result of profiling one module \p Shards times (e.g. repeated steady
-/// -state iterations of a DaCapo harness) with the shards' graphs merged.
-struct ShardedRun {
-  /// Outcome of shard 0. Workload modules are deterministic, so every
-  /// shard's RunResult is identical; this is the canonical copy.
-  RunResult Run;
-  /// Executed instructions summed over all shards.
-  uint64_t TotalInstrs = 0;
-  /// Wall time for the whole batch, pool included.
-  double Seconds = 0;
-  /// The merged profile: shard 0's profiler after folding shards 1..N-1
-  /// into it in index order.
-  std::unique_ptr<SlicingProfiler> Prof;
-};
-
-/// Runs \p M under the slicing profiler \p Shards times, at most
-/// Cfg.Threads at once, and merges the per-shard profiles.
-ShardedRun runShardedProfiled(const Module &M, unsigned Shards,
-                              ParallelConfig Cfg = {});
-
-/// Sharded run of a full profile session: like runShardedProfiled, but each
-/// shard is a ProfileSession (substrate plus any enabled client analyses,
-/// one pass per shard), and the fold covers client state too via
-/// ProfileSession::mergeFrom. The deterministic-fold property carries over:
-/// shard-index order plus order-preserving client merges make the result
+/// Sharded run of a full profile session: each shard is a ProfileSession
+/// (substrate plus any enabled client analyses, one pass per shard), and
+/// the fold covers client state too via ProfileSession::mergeFrom.
+/// Shard-index order plus order-preserving client merges make the result
 /// independent of Threads.
 struct ShardedSession {
   /// Outcome of shard 0 (shards are deterministic replicas).
@@ -100,20 +70,6 @@ ShardedSession runShardedSession(const Module &M, unsigned Shards,
 /// through this, so a record/replay pair only shares the base path.
 std::string shardTracePath(const std::string &Path, unsigned Shard,
                            unsigned Shards);
-
-/// Result of profiling a batch of distinct workload modules in parallel.
-struct ParallelResult {
-  /// One profiled run per input module, in input order (not completion
-  /// order); each holds its own Gcost. Graphs of distinct modules are not
-  /// merged — node identity is per-module static-instruction ids.
-  std::vector<ProfiledRun> Runs;
-  /// Wall time for the whole batch.
-  double Seconds = 0;
-};
-
-/// Profiles each module in \p Mods on the pool, Cfg.Threads at a time.
-ParallelResult runParallel(const std::vector<const Module *> &Mods,
-                           ParallelConfig Cfg = {});
 
 } // namespace lud
 

@@ -36,7 +36,8 @@ TEST(CostModelTest, Figure1NoDoubleCounting) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   InstrId AddId = 7;
   NodeId NAdd = soleNodeFor(P.graph(), AddId);
   ASSERT_NE(NAdd, kNoNode);
@@ -72,7 +73,8 @@ TEST(CostModelTest, AbstractCostAccumulatesLoopFrequencies) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   NodeId NAcc = soleNodeFor(P.graph(), AccAdd->getId());
   ASSERT_NE(NAcc, kNoNode);
   // acc-add(50) + i-add(50) + iconst acc0/i0/one (3x1) = 103.
@@ -105,7 +107,8 @@ TEST(CostModelTest, HracStopsAtHeapReads) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   NodeId NStore = soleNodeFor(P.graph(), StoreG->getId());
   ASSERT_NE(NStore, kNoNode);
   // store(1) + add(1) + iconst1(1) = 3; the load of o.f is not entered.
@@ -139,7 +142,8 @@ TEST(CostModelTest, HrabStopsAtHeapWrites) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   NodeId NLoad = soleNodeFor(P.graph(), LoadF->getId());
   ASSERT_NE(NLoad, kNoNode);
   const BenefitInfo &BI = CM.hrab(NLoad);
@@ -177,7 +181,8 @@ TEST(CostModelTest, BenefitFlagsReportConsumers) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   const BenefitInfo &BF = CM.hrab(soleNodeFor(P.graph(), LoadF->getId()));
   EXPECT_TRUE(BF.ReachesPredicate);
   EXPECT_FALSE(BF.ReachesNative);
@@ -209,7 +214,8 @@ TEST(CostModelTest, LocCostBenefitAveragesOverNodes) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   FieldSlot Slot;
   ASSERT_TRUE(M.resolveField(A->getId(), "f", Slot));
   NodeId NAlloc = soleNodeFor(P.graph(), 0);
@@ -245,7 +251,8 @@ TEST(CostModelTest, ObjectCostBenefitAggregatesOverTree) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   NodeId RootAlloc = soleNodeFor(P.graph(), 5);
   uint64_t RootTag = P.graph().node(RootAlloc).EffectLoc.Tag;
 
@@ -279,7 +286,8 @@ TEST(CostModelTest, ReferenceCyclesAreCut) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   NodeId AAlloc = soleNodeFor(P.graph(), 0);
   uint64_t ATag = P.graph().node(AAlloc).EffectLoc.Tag;
   ObjectCostBenefit CB = CM.objectCostBenefit(ATag, 10);
@@ -311,7 +319,8 @@ TEST(CostModelTest, HracOfPredicateDirectlyAfterLoadIsItsFrequency) {
   M.finalize();
 
   SlicingProfiler P = profileRun(M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   NodeId NPred = soleNodeFor(P.graph(), Pred->getId());
   ASSERT_NE(NPred, kNoNode);
   EXPECT_EQ(CM.hrac(NPred), 1u);
@@ -327,7 +336,8 @@ TEST(CostModelTest, ClosureFrequenciesSaturateInsteadOfWrapping) {
   G.addEdge(A, B);
   G.freq(A) = ~uint64_t(0);
   G.freq(B) = 12345;
-  CostModel CM(G);
+  FrozenGraph FG(G);
+  CostModel CM(FG);
   // Wrapping would report 12344 here.
   EXPECT_EQ(CM.abstractCost(B), ~uint64_t(0));
   EXPECT_EQ(CM.abstractCost(A), ~uint64_t(0));
@@ -342,7 +352,8 @@ TEST(CostModelTest, LocCostsSaturateAcrossWriterSums) {
   HeapLoc L{42, 3};
   G.noteWriter(L, W1);
   G.noteWriter(L, W2);
-  CostModel CM(G);
+  FrozenGraph FG(G);
+  CostModel CM(FG);
   LocCostBenefit CB = CM.locCostBenefit(L);
   EXPECT_EQ(CB.NumWriters, 2u);
   // The per-writer hrac sum wraps to 9 without saturation; the average

@@ -237,7 +237,8 @@ CacheProgram buildCaches() {
 TEST(CacheCostTest, IneffectiveCacheRanksWorst) {
   CacheProgram Prog = buildCaches();
   SlicingProfiler P = profileRun(*Prog.M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   std::vector<CacheScore> Rows = rankCacheEffectiveness(CM, *Prog.M);
   ASSERT_EQ(Rows.size(), 2u);
   // Least effective first: the once-read table.
@@ -257,7 +258,8 @@ TEST(CacheCostTest, IneffectiveCacheRanksWorst) {
 TEST(CacheCostTest, MinWritesFiltersTinyStructures) {
   CacheProgram Prog = buildCaches();
   SlicingProfiler P = profileRun(*Prog.M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   CacheOptions Opts;
   Opts.MinWrites = 1000; // Above both tables' 32 writes.
   EXPECT_TRUE(rankCacheEffectiveness(CM, *Prog.M, Opts).empty());

@@ -97,7 +97,8 @@ TEST(Figure3Test, RelativeCostMatchesHandComputation) {
   RunResult R;
   SlicingProfiler P = profileRun(*Prog.M, {}, &R);
   ASSERT_EQ(R.Status, RunStatus::Finished);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
 
   const DepGraph &G = P.graph();
   NodeId Store = soleNodeFor(G, Prog.StoreT);
@@ -121,7 +122,8 @@ TEST(Figure3Test, LoopNodeFrequenciesMatch) {
   SlicingProfiler P = profileRun(*Prog.M);
   const DepGraph &G = P.graph();
   // The abstract cost of the store covers the whole loop history.
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   NodeId Store = soleNodeFor(G, Prog.StoreT);
   // Abstract cost adds the alloc? No: thin slicing, the base pointer is
   // not a use. Store's backward slice == its HRAC slice here because the
@@ -132,7 +134,8 @@ TEST(Figure3Test, LoopNodeFrequenciesMatch) {
 TEST(Figure3Test, CarrierTopsTheReport) {
   Figure3Program Prog = build();
   SlicingProfiler P = profileRun(*Prog.M);
-  CostModel CM(P.graph());
+  FrozenGraph FG(P.graph());
+  CostModel CM(FG);
   LowUtilityReport Report(CM, *Prog.M);
   ASSERT_FALSE(Report.sites().empty());
   EXPECT_EQ(Report.sites()[0].Site, Prog.CarrierSite);

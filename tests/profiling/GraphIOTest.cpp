@@ -67,8 +67,10 @@ TEST(GraphIOTest, OfflineAnalysesMatchOnline) {
   std::unique_ptr<DepGraph> G2 = roundTrip(P.Prof->graph());
   ASSERT_TRUE(G2);
 
-  CostModel OnCM(P.Prof->graph());
-  CostModel OffCM(*G2);
+  FrozenGraph OnFG(P.Prof->graph());
+  FrozenGraph OffFG(*G2);
+  CostModel OnCM(OnFG);
+  CostModel OffCM(OffFG);
   LowUtilityReport OnReport(OnCM, *W.M);
   LowUtilityReport OffReport(OffCM, *W.M);
   ASSERT_EQ(OnReport.sites().size(), OffReport.sites().size());
@@ -78,9 +80,8 @@ TEST(GraphIOTest, OfflineAnalysesMatchOnline) {
     EXPECT_DOUBLE_EQ(OnReport.sites()[I].NRab, OffReport.sites()[I].NRab);
   }
 
-  BloatMetrics On =
-      computeDeadValues(P.Prof->graph(), P.Run.ExecutedInstrs).Metrics;
-  BloatMetrics Off = computeDeadValues(*G2, P.Run.ExecutedInstrs).Metrics;
+  BloatMetrics On = computeDeadValues(OnFG, P.Run.ExecutedInstrs).Metrics;
+  BloatMetrics Off = computeDeadValues(OffFG, P.Run.ExecutedInstrs).Metrics;
   EXPECT_EQ(On.DeadFreq, Off.DeadFreq);
   EXPECT_EQ(On.PredOnlyFreq, Off.PredOnlyFreq);
   EXPECT_EQ(On.DeadNodes, Off.DeadNodes);

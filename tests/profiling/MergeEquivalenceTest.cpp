@@ -4,7 +4,8 @@
 //
 //  * Merging: one profiler observing runs back to back, a fold of
 //    single-run profilers via SlicingProfiler::mergeFrom, and the sharded
-//    parallel driver at any thread count all produce the same profile.
+//    session driver at any thread count all produce the same profile;
+//    independent sessions profiled on the pool match sequential ones.
 //
 //  * Caching: SlicingConfig::HotPathCaches toggles the memo caches only —
 //    the graph, frequencies, predicate outcomes and CR are identical with
@@ -14,6 +15,7 @@
 
 #include "../TestUtil.h"
 
+#include "support/WorkerPool.h"
 #include "workloads/DaCapo.h"
 #include "workloads/ParallelDriver.h"
 
@@ -126,23 +128,30 @@ TEST(MergeEquivalenceTest, ShardedDriverMatchesAnyThreadCount) {
   Workload W = buildWorkload("derby", 60);
   const unsigned Shards = 5;
 
-  ParallelConfig One;
-  One.Threads = 1;
-  ShardedRun Ref = runShardedProfiled(*W.M, Shards, One);
-
-  ParallelConfig Pool;
-  Pool.Threads = 3;
-  ShardedRun Par = runShardedProfiled(*W.M, Shards, Pool);
+  ShardedSession Ref =
+      runShardedSession(*W.M, Shards, SessionConfig::profiled(), 1);
+  ShardedSession Par =
+      runShardedSession(*W.M, Shards, SessionConfig::profiled(), 3);
 
   EXPECT_EQ(Ref.TotalInstrs, Par.TotalInstrs);
   EXPECT_EQ(Ref.Run.ExecutedInstrs, Par.Run.ExecutedInstrs);
-  expectProfilesEqual(*Par.Prof, *Ref.Prof);
+  expectProfilesEqual(*Par.Session->slicing(), *Ref.Session->slicing());
 
   // And the fold equals one profiler observing the shards sequentially.
   SlicingProfiler Seq{SlicingConfig{}};
   for (unsigned S = 0; S != Shards; ++S)
     runModule(*W.M, Seq);
-  expectProfilesEqual(*Ref.Prof, Seq);
+  expectProfilesEqual(*Ref.Session->slicing(), Seq);
+}
+
+/// Profiles each module in \p Mods in its own session, \p Threads at a
+/// time; results are in input order whatever the completion order.
+std::vector<ProfiledRun> profileBatch(const std::vector<const Module *> &Mods,
+                                      unsigned Threads) {
+  std::vector<ProfiledRun> Out(Mods.size());
+  forEachJob(unsigned(Mods.size()), Threads,
+             [&](unsigned J) { Out[J] = profiledRun(*Mods[J]); });
+  return Out;
 }
 
 TEST(MergeEquivalenceTest, ParallelBatchMatchesSequential) {
@@ -152,16 +161,12 @@ TEST(MergeEquivalenceTest, ParallelBatchMatchesSequential) {
     Ws.push_back(buildWorkload(Name, 60));
     Mods.push_back(Ws.back().M.get());
   }
-  ParallelConfig One;
-  One.Threads = 1;
-  ParallelConfig Pool;
-  Pool.Threads = 3;
-  ParallelResult Ref = runParallel(Mods, One);
-  ParallelResult Par = runParallel(Mods, Pool);
-  ASSERT_EQ(Ref.Runs.size(), Par.Runs.size());
-  for (size_t I = 0; I != Ref.Runs.size(); ++I) {
-    EXPECT_EQ(Ref.Runs[I].Run.ExecutedInstrs, Par.Runs[I].Run.ExecutedInstrs);
-    expectProfilesEqual(*Par.Runs[I].Prof, *Ref.Runs[I].Prof);
+  std::vector<ProfiledRun> Ref = profileBatch(Mods, 1);
+  std::vector<ProfiledRun> Par = profileBatch(Mods, 3);
+  ASSERT_EQ(Ref.size(), Par.size());
+  for (size_t I = 0; I != Ref.size(); ++I) {
+    EXPECT_EQ(Ref[I].Run.ExecutedInstrs, Par[I].Run.ExecutedInstrs);
+    expectProfilesEqual(*Par[I].Prof, *Ref[I].Prof);
   }
 }
 

@@ -96,7 +96,8 @@ TEST_P(CaseStudyTest, PlantedStructuresRankHigh) {
   Workload W = buildWorkload(GetParam(), 200);
   ASSERT_FALSE(W.PlantedSites.empty());
   ProfiledRun P = profiledRun(*W.M);
-  CostModel CM(P.Prof->graph());
+  FrozenGraph FG(P.Prof->graph());
+  CostModel CM(FG);
   LowUtilityReport Report(CM, *W.M);
   ASSERT_FALSE(Report.sites().empty());
   // The tool surfaces each kind of bloat through the matching client: the
@@ -137,10 +138,10 @@ TEST(WorkloadTest, UnoptimizedOutranksOptimizedInDeadWork) {
     Workload Opt = buildWorkload(Name, 150, true);
     ProfiledRun PO = profiledRun(*Orig.M);
     ProfiledRun PF = profiledRun(*Opt.M);
-    BloatMetrics MO =
-        computeDeadValues(PO.Prof->graph(), PO.Run.ExecutedInstrs).Metrics;
-    BloatMetrics MF =
-        computeDeadValues(PF.Prof->graph(), PF.Run.ExecutedInstrs).Metrics;
+    FrozenGraph GO(PO.Prof->graph());
+    FrozenGraph GF(PF.Prof->graph());
+    BloatMetrics MO = computeDeadValues(GO, PO.Run.ExecutedInstrs).Metrics;
+    BloatMetrics MF = computeDeadValues(GF, PF.Run.ExecutedInstrs).Metrics;
     EXPECT_GT(MO.ipd(), MF.ipd()) << Name;
   }
 }
@@ -195,7 +196,8 @@ TEST(WorkloadTest, CollectionRankingClientFiltersContainers) {
   // and the order is preserved.
   Workload W = buildWorkload("eclipse", 150);
   ProfiledRun P = profiledRun(*W.M);
-  CostModel CM(P.Prof->graph());
+  FrozenGraph FG(P.Prof->graph());
+  CostModel CM(FG);
   LowUtilityReport Report(CM, *W.M);
   std::vector<ClassId> Containers = {W.M->findClass("IntVec"),
                                      W.M->findClass("RefVec"),
