@@ -6,7 +6,6 @@
 #include "support/OutStream.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace lud;
 
@@ -14,45 +13,39 @@ std::vector<CacheScore> lud::rankCacheEffectiveness(const CostModel &CM,
                                                     const Module &M,
                                                     CacheOptions Opts) {
   const FrozenGraph &G = CM.graph();
-  std::map<AllocSiteId, CacheScore> BySite;
-
-  for (uint64_t Tag : CM.allTags()) {
+  // One row per site; a site's tags are one run of the tag-sorted
+  // allocation entries (see LowUtilityReport).
+  std::vector<CacheScore> BySite;
+  for (const auto &[Tag, Alloc] : G.allocEntries()) {
     if (FrozenGraph::isStaticTag(Tag))
       continue;
     AllocSiteId Site = G.tagSite(Tag);
-    CacheScore &S = BySite[Site];
-    if (S.Site == kNoAllocSite) {
-      S.Site = Site;
-      S.Description = M.describeAllocSite(Site);
+    if (BySite.empty() || BySite.back().Site != Site) {
+      BySite.emplace_back();
+      BySite.back().Site = Site;
+      BySite.back().Description = M.describeAllocSite(Site);
     }
+    CacheScore &S = BySite.back();
     // Spine: the allocation instances themselves...
-    NodeId Alloc = G.allocNodeFor(Tag);
-    if (Alloc != kNoNode)
-      S.SpineCost += double(G.freq(Alloc));
+    S.SpineCost += double(G.freq(Alloc));
 
-    for (FieldSlot Slot : CM.fieldsOf(Tag)) {
-      HeapLoc L{Tag, Slot};
-      uint64_t Writes = 0, Reads = 0;
-      for (NodeId W : G.writersOf(L))
-        Writes += G.freq(W);
-      for (NodeId R : G.readersOf(L))
-        Reads += G.freq(R);
-      S.Writes += Writes;
-      S.Reads += Reads;
+    for (uint32_t I : CM.fieldLocs(Tag)) {
+      const LocCostBenefit &CB = CM.locAt(I);
+      S.Writes = saturatingAdd(S.Writes, CB.Writes);
+      S.Reads = saturatingAdd(S.Reads, CB.Reads);
       // ...plus the store instances maintaining it (one instance each;
       // the *value* computation is deliberately excluded).
-      S.SpineCost += double(Writes);
+      S.SpineCost += double(CB.Writes);
       // Work one cached value costs to produce, excluding the store
       // instance itself.
-      LocCostBenefit CB = CM.locCostBenefit(L);
       double CachedWork = std::max(CB.Rac - 1.0, 0.0);
-      if (Reads > Writes)
-        S.SavedWork += CachedWork * double(Reads - Writes);
+      if (CB.Reads > CB.Writes)
+        S.SavedWork += CachedWork * double(CB.Reads - CB.Writes);
     }
   }
 
   std::vector<CacheScore> Rows;
-  for (auto &[Site, S] : BySite) {
+  for (CacheScore &S : BySite) {
     if (S.Writes < Opts.MinWrites)
       continue;
     S.Effectiveness = S.SpineCost > 0 ? S.SavedWork / S.SpineCost : 0;

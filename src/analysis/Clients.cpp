@@ -7,7 +7,6 @@
 #include "support/OutStream.h"
 
 #include <algorithm>
-#include <map>
 
 using namespace lud;
 
@@ -15,45 +14,57 @@ std::vector<OverwriteRow> lud::rankOverwrites(const SlicingProfiler &P,
                                               const Module &M,
                                               const ClientOptions &Opts) {
   const DepGraph &G = P.graph();
-  // Aggregate per (site-or-global, slot) over context-annotated tags.
-  std::map<std::pair<uint64_t, FieldSlot>, OverwriteRow> Agg;
+  // Aggregate per (site-or-global, slot) over context-annotated tags:
+  // sort the locations by that key, then fold each run into one row.
+  struct Keyed {
+    uint64_t Key; // The static tag, or the allocation site.
+    FieldSlot Slot;
+    const LocationActivity *Act;
+  };
+  std::vector<Keyed> Locs;
+  Locs.reserve(P.locationActivity().size());
   for (const auto &[Loc, Act] : P.locationActivity()) {
-    uint64_t Key;
-    OverwriteRow Proto;
-    if (DepGraph::isStaticTag(Loc.Tag)) {
-      Proto.Global = GlobalId(Loc.Tag - kStaticTagBase);
-      Proto.Description = "static @" + M.globals()[Proto.Global].Name;
-      Key = Loc.Tag;
-    } else {
-      Proto.Site = G.tagSite(Loc.Tag);
-      const Instruction *AI = M.getAllocSite(Proto.Site);
-      ClassId Cls = kNoClass;
-      if (const auto *A = dyn_cast<AllocInst>(AI))
-        Cls = A->Class;
-      std::string FieldName;
-      if (Loc.Slot == kElemSlot)
-        FieldName = "ELM";
-      else if (Loc.Slot == kLenSlot)
-        FieldName = "length";
-      else if (Cls != kNoClass)
-        FieldName = M.fieldName(Cls, Loc.Slot);
-      else
-        FieldName = "<slot" + std::to_string(Loc.Slot) + ">";
-      Proto.Description =
-          M.describeAllocSite(Proto.Site) + " ." + FieldName;
-      Key = Proto.Site;
-    }
-    Proto.Slot = Loc.Slot;
-    OverwriteRow &Row = Agg.try_emplace({Key, Loc.Slot}, Proto).first->second;
-    Row.Writes += Act.Writes;
-    Row.Reads += Act.Reads;
-    Row.Overwrites += Act.Overwrites;
+    uint64_t Key =
+        DepGraph::isStaticTag(Loc.Tag) ? Loc.Tag : G.tagSite(Loc.Tag);
+    Locs.push_back({Key, Loc.Slot, &Act});
   }
+  std::sort(Locs.begin(), Locs.end(), [](const Keyed &A, const Keyed &B) {
+    return A.Key != B.Key ? A.Key < B.Key : A.Slot < B.Slot;
+  });
 
   std::vector<OverwriteRow> Rows;
-  for (auto &[Key, Row] : Agg) {
+  for (size_t I = 0, J; I != Locs.size(); I = J) {
+    OverwriteRow Row;
+    for (J = I; J != Locs.size() && Locs[J].Key == Locs[I].Key &&
+                Locs[J].Slot == Locs[I].Slot;
+         ++J) {
+      Row.Writes += Locs[J].Act->Writes;
+      Row.Reads += Locs[J].Act->Reads;
+      Row.Overwrites += Locs[J].Act->Overwrites;
+    }
     if (Row.Writes < Opts.MinWrites)
       continue;
+    const uint64_t Key = Locs[I].Key;
+    Row.Slot = Locs[I].Slot;
+    if (DepGraph::isStaticTag(Key)) {
+      Row.Global = GlobalId(Key - kStaticTagBase);
+      Row.Description = "static @" + M.globals()[Row.Global].Name;
+    } else {
+      Row.Site = AllocSiteId(Key);
+      ClassId Cls = kNoClass;
+      if (const auto *A = dyn_cast<AllocInst>(M.getAllocSite(Row.Site)))
+        Cls = A->Class;
+      std::string FieldName;
+      if (Row.Slot == kElemSlot)
+        FieldName = "ELM";
+      else if (Row.Slot == kLenSlot)
+        FieldName = "length";
+      else if (Cls != kNoClass)
+        FieldName = M.fieldName(Cls, Row.Slot);
+      else
+        FieldName = "<slot" + std::to_string(Row.Slot) + ">";
+      Row.Description = M.describeAllocSite(Row.Site) + " ." + FieldName;
+    }
     Row.WasteRatio = Row.Writes ? double(Row.Overwrites) / double(Row.Writes)
                                 : 0;
     Rows.push_back(std::move(Row));
@@ -80,27 +91,27 @@ int lud::overwriteRankOf(const std::vector<OverwriteRow> &Rows,
 std::vector<MethodCostRow> lud::computeMethodCosts(const CostModel &CM,
                                                    const Module &M) {
   const FrozenGraph &G = CM.graph();
-  std::map<FuncId, MethodCostRow> Agg;
-  std::map<FuncId, uint64_t> RetHracSum;
+  const size_t NumFuncs = M.functions().size();
+  std::vector<MethodCostRow> ByFunc(NumFuncs);
+  std::vector<uint64_t> RetHracSum(NumFuncs, 0);
   for (NodeId N = 0; N != NodeId(G.numNodes()); ++N) {
     InstrId Instr = G.instr(N);
-    const Instruction *I = M.getInstr(Instr);
-    FuncId F = M.getInstrFunction(Instr)->getId();
-    MethodCostRow &Row = Agg[F];
-    if (Row.Func == kNoFunc) {
-      Row.Func = F;
-      Row.Name = M.getFunction(F)->getName();
-    }
-    Row.OwnFreq += G.freq(N);
-    if (isa<ReturnInst>(I)) {
-      RetHracSum[F] += CM.hrac(N);
+    const Function *Fn = M.getInstrFunction(Instr);
+    MethodCostRow &Row = ByFunc[Fn->getId()];
+    Row.Func = Fn->getId();
+    Row.OwnFreq = saturatingAdd(Row.OwnFreq, G.freq(N));
+    if (isa<ReturnInst>(M.getInstr(Instr))) {
+      RetHracSum[Row.Func] = saturatingAdd(RetHracSum[Row.Func], CM.hrac(N));
       ++Row.ReturnNodes;
     }
   }
   std::vector<MethodCostRow> Rows;
-  for (auto &[F, Row] : Agg) {
+  for (MethodCostRow &Row : ByFunc) {
+    if (Row.Func == kNoFunc)
+      continue; // No node of this function was profiled.
+    Row.Name = M.getFunction(Row.Func)->getName();
     if (Row.ReturnNodes)
-      Row.ReturnCost = double(RetHracSum[F]) / double(Row.ReturnNodes);
+      Row.ReturnCost = double(RetHracSum[Row.Func]) / double(Row.ReturnNodes);
     Rows.push_back(std::move(Row));
   }
   std::sort(Rows.begin(), Rows.end(),

@@ -21,6 +21,16 @@
 /// per-node memo/visited state is dense arrays indexed by NodeId, so the
 /// traversals stay cache-resident at the paper's 139K-860K node scale.
 ///
+/// Every location-level query reads one per-location table, filled on
+/// first use and indexed like FrozenGraph's location universe. Its RAB
+/// column comes from one batched sweep rather than a BFS per reader: the
+/// subgraph of non-heap-writing nodes is condensed into SCCs (Tarjan), and
+/// 64 readers at a time ride one bitmask each along the condensation in
+/// topological order. A reader's HRAB is a saturating frequency sum over
+/// the set of nodes it reaches, so summing per SCC instead of per node
+/// gives the same value. hrac/hrab/abstractCost stay per-node BFS queries:
+/// they are the definitions the table is tested against.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LUD_ANALYSIS_COSTMODEL_H
@@ -28,10 +38,20 @@
 
 #include "profiling/FrozenGraph.h"
 
-#include <unordered_map>
+#include <span>
 #include <vector>
 
 namespace lud {
+
+/// Frequency sums saturate instead of wrapping: a fuzzed program can pile
+/// enough executions onto one closure that the uint64 accumulator
+/// overflows, and a wrapped cost would rank a hot structure as nearly
+/// free. Saturation keeps the ordering sane ("at least this expensive")
+/// and makes a sum independent of the order of its terms.
+inline uint64_t saturatingAdd(uint64_t A, uint64_t B) {
+  uint64_t S = A + B;
+  return S < A ? ~uint64_t(0) : S;
+}
 
 /// HRAB plus consumption flags (Section 3.1's "special treatment" inputs).
 struct BenefitInfo {
@@ -49,6 +69,10 @@ struct LocCostBenefit {
   double Rab = 0;
   uint64_t NumWriters = 0;
   uint64_t NumReaders = 0;
+  /// Executions of the writer / reader nodes (saturating): the raw
+  /// activity columns of the report and the cache analysis.
+  uint64_t Writes = 0;
+  uint64_t Reads = 0;
   bool ReachesPredicate = false;
   bool ReachesNative = false;
 };
@@ -85,23 +109,51 @@ public:
   /// heap-writing nodes. Also reports consumer reachability.
   const BenefitInfo &hrab(NodeId N) const;
 
-  /// RAC/RAB for one abstract heap location.
+  /// RAC/RAB for one abstract heap location (all zero when the graph
+  /// never mentions \p L).
   LocCostBenefit locCostBenefit(const HeapLoc &L) const;
+
+  /// The table entry of location universe index \p I (graph().loc(I)).
+  const LocCostBenefit &locAt(size_t I) const { return table().Locs[I]; }
 
   /// n-RAC and n-RAB for the object(s) tagged \p RootTag, aggregating field
   /// RAC/RABs over the reference tree of height \p Depth (cycles cut).
   ObjectCostBenefit objectCostBenefit(uint64_t RootTag, unsigned Depth) const;
 
-  /// All field slots observed (written or read) on objects tagged \p Tag.
-  const std::vector<FieldSlot> &fieldsOf(uint64_t Tag) const;
-
-  /// Tags whose allocations the graph recorded, in deterministic order.
-  std::vector<uint64_t> allTags() const;
+  /// Universe indices of the field locations observed (written or read) on
+  /// objects tagged \p Tag, in ascending slot order.
+  std::span<const uint32_t> fieldLocs(uint64_t Tag) const;
 
 private:
+  /// Per-location costs plus the tag index the reference-tree walk needs.
+  /// Tags are numbered by ordinal: the sorted union of every location's
+  /// tag and every observed field's referenced tags.
+  struct Table {
+    /// Indexed like the graph's location universe.
+    std::vector<LocCostBenefit> Locs;
+    /// Sorted tags; a tag's ordinal is its position.
+    std::vector<uint64_t> Tags;
+    /// Observed field locations (universe indices), grouped by tag
+    /// ordinal: ordinal T owns [FieldBegin[T], FieldBegin[T + 1]).
+    std::vector<uint32_t> FieldLocs;
+    std::vector<uint32_t> FieldBegin;
+    /// Referenced tags' ordinals, per FieldLocs entry K:
+    /// [ChildBegin[K], ChildBegin[K + 1]) in refChildrenAt order.
+    std::vector<uint32_t> ChildOrds;
+    std::vector<uint32_t> ChildBegin;
+  };
+  const Table &table() const {
+    if (!TableBuilt)
+      buildTable();
+    return Tab;
+  }
+  void buildTable() const;
+  /// Ordinal of \p Tag in Table::Tags, or ~0u.
+  uint32_t tagOrdinal(uint64_t Tag) const;
+
   const FrozenGraph &G;
-  /// tag -> observed field slots (sorted).
-  std::unordered_map<uint64_t, std::vector<FieldSlot>> FieldsByTag;
+  mutable Table Tab;
+  mutable bool TableBuilt = false;
   /// Dense per-node memo columns; Valid bitmaps gate them (a saturated
   /// cost is a legal value, so no sentinel encoding).
   mutable std::vector<uint64_t> HracCache;
@@ -113,6 +165,12 @@ private:
   mutable std::vector<uint32_t> VisitMark;
   mutable uint32_t VisitEpoch = 0;
   mutable std::vector<NodeId> WorkScratch;
+  /// Reference-tree walk state over tag ordinals, epoch-stamped the same
+  /// way.
+  mutable std::vector<uint32_t> TreeMark;
+  mutable std::vector<unsigned> TreeDepth;
+  mutable uint32_t TreeEpoch = 0;
+  mutable std::vector<uint32_t> TreeOrder;
 };
 
 } // namespace lud

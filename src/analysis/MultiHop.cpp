@@ -82,8 +82,10 @@ LocCostBenefit lud::multiHopLocCostBenefit(const FrozenGraph &G,
   auto Writers = G.writersOf(L);
   if (!Writers.empty()) {
     uint64_t Sum = 0;
-    for (NodeId W : Writers)
+    for (NodeId W : Writers) {
       Sum += multiHopCost(G, W, Hops);
+      CB.Writes = saturatingAdd(CB.Writes, G.freq(W));
+    }
     CB.NumWriters = Writers.size();
     CB.Rac = double(Sum) / double(CB.NumWriters);
   }
@@ -93,6 +95,7 @@ LocCostBenefit lud::multiHopLocCostBenefit(const FrozenGraph &G,
     for (NodeId R : Readers) {
       BenefitInfo B = multiHopBenefit(G, R, Hops);
       Sum += B.Benefit;
+      CB.Reads = saturatingAdd(CB.Reads, G.freq(R));
       CB.ReachesPredicate |= B.ReachesPredicate;
       CB.ReachesNative |= B.ReachesNative;
     }

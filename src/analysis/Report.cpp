@@ -11,7 +11,6 @@
 #include "support/OutStream.h"
 
 #include <algorithm>
-#include <map>
 #include <numeric>
 
 using namespace lud;
@@ -21,32 +20,34 @@ LowUtilityReport::LowUtilityReport(const CostModel &CM, const Module &M,
     : Opts(Opts) {
   const FrozenGraph &G = CM.graph();
 
-  // Aggregate tag-level cost/benefit per allocation site.
-  std::map<AllocSiteId, SiteScore> BySite;
-  for (uint64_t Tag : CM.allTags()) {
+  // Aggregate tag-level cost/benefit per allocation site. Tags are sorted
+  // and a tag's site is Tag / contextSlots(), so each site's tags form one
+  // run and the runs arrive in ascending site order.
+  std::vector<SiteScore> BySite;
+  for (const auto &[Tag, AllocNode] : G.allocEntries()) {
     if (FrozenGraph::isStaticTag(Tag))
       continue;
     ObjectCostBenefit CB = CM.objectCostBenefit(Tag, Opts.Depth);
     AllocSiteId Site = G.tagSite(Tag);
-    SiteScore &S = BySite[Site];
-    S.Site = Site;
-    if (S.Description.empty())
-      S.Description = M.describeAllocSite(Site);
+    if (BySite.empty() || BySite.back().Site != Site) {
+      BySite.emplace_back();
+      BySite.back().Site = Site;
+      BySite.back().Description = M.describeAllocSite(Site);
+    }
+    SiteScore &S = BySite.back();
     S.NRac += CB.NRac;
     S.NRab += CB.NRab;
     S.ReachesPredicate |= CB.ReachesPredicate;
     S.ReachesNative |= CB.ReachesNative;
     ++S.NumContexts;
     // Raw activity for the report columns.
-    for (FieldSlot Slot : CM.fieldsOf(Tag)) {
-      for (NodeId W : G.writersOf(HeapLoc{Tag, Slot}))
-        S.Writes += G.freq(W);
-      for (NodeId R : G.readersOf(HeapLoc{Tag, Slot}))
-        S.Reads += G.freq(R);
+    for (uint32_t I : CM.fieldLocs(Tag)) {
+      S.Writes = saturatingAdd(S.Writes, CM.locAt(I).Writes);
+      S.Reads = saturatingAdd(S.Reads, CM.locAt(I).Reads);
     }
   }
 
-  for (auto &[Site, S] : BySite) {
+  for (SiteScore &S : BySite) {
     if (S.NRac < Opts.MinCost)
       continue;
     double Benefit = S.NRab;
@@ -71,7 +72,7 @@ LowUtilityReport::LowUtilityReport(const CostModel &CM, const Module &M,
       S.Ratio = 0;
     else
       S.Ratio = S.NRac / std::max(Benefit, 1e-9);
-    Sites.push_back(S);
+    Sites.push_back(std::move(S));
   }
 
   std::sort(Sites.begin(), Sites.end(),

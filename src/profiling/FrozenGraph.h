@@ -283,7 +283,7 @@ public:
     return R == EytzingerIndex::npos ? kNoNode : AllocEntries[R].second;
   }
   /// (tag, allocation node) pairs sorted by tag — the deterministic
-  /// iteration CostModel::allTags and the serializer need.
+  /// iteration the report, the cache ranking and the serializer need.
   const std::vector<std::pair<uint64_t, NodeId>> &allocEntries() const {
     return AllocEntries;
   }
@@ -296,6 +296,8 @@ public:
 
   size_t numLocs() const { return LocTags.size(); }
   HeapLoc loc(size_t I) const { return HeapLoc{LocTags[I], LocSlots[I]}; }
+  /// Universe index of \p L, or EytzingerIndex::npos when absent.
+  uint32_t findLoc(const HeapLoc &L) const { return LocIndex.find(L); }
 
   std::span<const NodeId> writersOf(const HeapLoc &L) const {
     uint32_t I = findLoc(L);
@@ -367,8 +369,6 @@ public:
   void accountStats(obs::MetricsRegistry &R) const;
 
 private:
-  uint32_t findLoc(const HeapLoc &L) const { return LocIndex.find(L); }
-
   // SoA meta byte layout.
   static constexpr uint8_t kReadsHeap = 1u << 0;
   static constexpr uint8_t kWritesHeap = 1u << 1;

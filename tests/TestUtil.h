@@ -3,11 +3,15 @@
 #ifndef LUD_TESTS_TESTUTIL_H
 #define LUD_TESTS_TESTUTIL_H
 
+#include "analysis/CostModel.h"
 #include "profiling/FrozenGraph.h"
 #include "profiling/SlicingProfiler.h"
 #include "runtime/Interpreter.h"
 #include "workloads/Driver.h"
 
+#include <gtest/gtest.h>
+
+#include <string>
 #include <vector>
 
 namespace lud {
@@ -72,6 +76,51 @@ inline NodeId soleNodeFor(const DepGraph &G, InstrId I) {
 inline NodeId soleNodeFor(const FrozenGraph &G, InstrId I) {
   std::vector<NodeId> All = nodesFor(G, I);
   return All.size() == 1 ? All[0] : kNoNode;
+}
+
+/// The location table against Definitions 5/6 evaluated node by node: for
+/// every location, Rac/Rab are the means of hrac/hrab over its writers and
+/// readers, the flags are the readers' OR, and Writes/Reads are the
+/// saturated frequency sums. The reference is a second model, so no table
+/// result can leak into the per-node memo it is checked against.
+inline void expectTableMatchesDefinitions(const FrozenGraph &G,
+                                   const std::string &What) {
+  CostModel Table(G), Ref(G);
+  for (size_t I = 0; I != G.numLocs(); ++I) {
+    LocCostBenefit Want;
+    uint64_t RacSum = 0, RabSum = 0;
+    for (NodeId W : G.writersAt(I)) {
+      RacSum = saturatingAdd(RacSum, Ref.hrac(W));
+      Want.Writes = saturatingAdd(Want.Writes, G.freq(W));
+      ++Want.NumWriters;
+    }
+    for (NodeId R : G.readersAt(I)) {
+      const BenefitInfo &B = Ref.hrab(R);
+      RabSum = saturatingAdd(RabSum, B.Benefit);
+      Want.Reads = saturatingAdd(Want.Reads, G.freq(R));
+      Want.ReachesPredicate |= B.ReachesPredicate;
+      Want.ReachesNative |= B.ReachesNative;
+      ++Want.NumReaders;
+    }
+    if (Want.NumWriters)
+      Want.Rac = double(RacSum) / double(Want.NumWriters);
+    if (Want.NumReaders)
+      Want.Rab = double(RabSum) / double(Want.NumReaders);
+    const LocCostBenefit &Got = Table.locAt(I);
+    const std::string Where = What + " loc #" + std::to_string(I);
+    ASSERT_EQ(Got.NumWriters, Want.NumWriters) << Where;
+    ASSERT_EQ(Got.NumReaders, Want.NumReaders) << Where;
+    ASSERT_EQ(Got.Rac, Want.Rac) << Where;
+    ASSERT_EQ(Got.Rab, Want.Rab) << Where;
+    ASSERT_EQ(Got.Writes, Want.Writes) << Where;
+    ASSERT_EQ(Got.Reads, Want.Reads) << Where;
+    ASSERT_EQ(Got.ReachesPredicate, Want.ReachesPredicate) << Where;
+    ASSERT_EQ(Got.ReachesNative, Want.ReachesNative) << Where;
+    // The by-key lookup reads the same entry.
+    LocCostBenefit ByKey = Table.locCostBenefit(G.loc(I));
+    ASSERT_EQ(ByKey.Rab, Got.Rab) << Where;
+    ASSERT_EQ(ByKey.Rac, Got.Rac) << Where;
+  }
 }
 
 } // namespace test

@@ -138,6 +138,36 @@ TEST(MethodCostClientTest, ExpensiveReturnRanksFirst) {
   }
 }
 
+TEST(MethodCostClientTest, ReturnCostsSaturateAcrossReturnNodes) {
+  // Two return-instruction nodes of one method (two context domains), one
+  // at the frequency ceiling: a wrapping sum would read 4 and rank the
+  // method as nearly free.
+  Module M;
+  IRBuilder B(M);
+  B.beginFunction("main", 0);
+  B.ret();
+  B.endFunction();
+  M.finalize();
+  InstrId Ret = kNoInstr;
+  for (InstrId I = 0; I != M.getNumInstrs(); ++I)
+    if (isa<ReturnInst>(M.getInstr(I)))
+      Ret = I;
+  ASSERT_NE(Ret, kNoInstr);
+
+  DepGraph G;
+  NodeId R0 = G.getOrCreate(Ret, 0);
+  NodeId R1 = G.getOrCreate(Ret, 1);
+  G.freq(R0) = ~uint64_t(0);
+  G.freq(R1) = 5;
+  FrozenGraph FG(G);
+  CostModel CM(FG);
+  std::vector<MethodCostRow> Rows = computeMethodCosts(CM, M);
+  ASSERT_EQ(Rows.size(), 1u);
+  EXPECT_EQ(Rows[0].ReturnNodes, 2u);
+  EXPECT_EQ(Rows[0].OwnFreq, ~uint64_t(0));
+  EXPECT_EQ(Rows[0].ReturnCost, double(~uint64_t(0)) / 2.0);
+}
+
 TEST(PredicateConstancyClientTest, FindsAlwaysTrueGuards) {
   Module M;
   IRBuilder B(M);

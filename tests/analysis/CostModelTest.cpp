@@ -4,6 +4,8 @@
 
 #include "analysis/CostModel.h"
 #include "ir/IRBuilder.h"
+#include "workloads/Composed.h"
+#include "workloads/DaCapo.h"
 
 #include <gtest/gtest.h>
 
@@ -11,6 +13,18 @@ using namespace lud;
 using namespace lud::test;
 
 namespace {
+
+/// A hand-built node with the given heap effects and consumer.
+NodeId makeNode(DepGraph &G, InstrId Instr, uint64_t Freq,
+                bool ReadsHeap = false, bool WritesHeap = false,
+                ConsumerKind Consumer = ConsumerKind::None) {
+  NodeId N = G.getOrCreate(Instr, 0);
+  G.freq(N) = Freq;
+  G.node(N).ReadsHeap = ReadsHeap;
+  G.node(N).WritesHeap = WritesHeap;
+  G.node(N).Consumer = Consumer;
+  return N;
+}
 
 TEST(CostModelTest, Figure1NoDoubleCounting) {
   // Figure 1: a = 0; c = f(a); d = c * 3; b = c + d; where f(e) = e >> 2.
@@ -359,6 +373,129 @@ TEST(CostModelTest, LocCostsSaturateAcrossWriterSums) {
   // The per-writer hrac sum wraps to 9 without saturation; the average
   // must instead sit at the ceiling.
   EXPECT_EQ(CB.Rac, double(~uint64_t(0)) / 2.0);
+}
+
+TEST(CostModelTableTest, StackCycleIsOneComponent) {
+  // Reader -> A -> B -> C -> A (a stack-only cycle) -> W (heap write,
+  // blocked) -> X. A is a branch condition.
+  DepGraph G;
+  NodeId R = makeNode(G, 1, 2, /*ReadsHeap=*/true);
+  NodeId A = makeNode(G, 2, 3, false, false, ConsumerKind::Predicate);
+  NodeId B = makeNode(G, 3, 5);
+  NodeId C = makeNode(G, 4, 7);
+  NodeId W = makeNode(G, 5, 11, false, /*WritesHeap=*/true);
+  NodeId X = makeNode(G, 6, 13, false, false, ConsumerKind::Native);
+  G.addEdge(R, A);
+  G.addEdge(A, B);
+  G.addEdge(B, C);
+  G.addEdge(C, A);
+  G.addEdge(C, W);
+  G.addEdge(W, X);
+  HeapLoc L{7, 1};
+  G.noteReader(L, R);
+  G.noteWriter(L, W);
+  FrozenGraph FG(G);
+  expectTableMatchesDefinitions(FG, "cycle");
+  CostModel CM(FG);
+  LocCostBenefit CB = CM.locCostBenefit(L);
+  EXPECT_EQ(CB.Rab, 2.0 + 3 + 5 + 7);
+  EXPECT_TRUE(CB.ReachesPredicate);
+  EXPECT_FALSE(CB.ReachesNative);
+}
+
+TEST(CostModelTableTest, ReaderThatWritesHeapCountsItselfOnce) {
+  // RW reads and writes the heap (a read-modify-write): its closure counts
+  // RW, enters its stack successors, and a path back into RW (blocked as
+  // a heap writer) adds nothing.
+  DepGraph G;
+  NodeId RW = makeNode(G, 1, 4, /*ReadsHeap=*/true, /*WritesHeap=*/true,
+                       ConsumerKind::Native);
+  NodeId S1 = makeNode(G, 2, 6);
+  NodeId S2 = makeNode(G, 3, 8);
+  NodeId W = makeNode(G, 4, 100, false, /*WritesHeap=*/true);
+  NodeId Plain = makeNode(G, 5, 1, /*ReadsHeap=*/true);
+  G.addEdge(RW, S1);
+  G.addEdge(RW, W);
+  G.addEdge(S1, S2);
+  G.addEdge(S2, RW);
+  G.addEdge(Plain, S2);
+  HeapLoc L{9, 0}, L2{9, 1};
+  G.noteReader(L, RW);
+  G.noteWriter(L, RW);
+  G.noteReader(L2, Plain);
+  G.noteReader(L2, RW);
+  FrozenGraph FG(G);
+  expectTableMatchesDefinitions(FG, "rmw");
+  CostModel CM(FG);
+  EXPECT_EQ(CM.locCostBenefit(L).Rab, 4.0 + 6 + 8);
+  EXPECT_TRUE(CM.locCostBenefit(L).ReachesNative);
+  EXPECT_EQ(CM.locCostBenefit(L2).Rab, ((1.0 + 8) + (4 + 6 + 8)) / 2);
+}
+
+TEST(CostModelTableTest, ManyReadersSpanSeveralMaskBatches) {
+  // 150 readers over 10 locations (three 64-reader batches), each reading
+  // into a private chain that joins a shared stack tail; every fifth
+  // reader's chain ends in a predicate, every seventh in a heap write.
+  DepGraph G;
+  InstrId Next = 1;
+  NodeId Tail = makeNode(G, Next++, 1000);
+  NodeId TailEnd = makeNode(G, Next++, 3, false, false, ConsumerKind::Native);
+  G.addEdge(Tail, TailEnd);
+  for (unsigned I = 0; I != 150; ++I) {
+    NodeId R = makeNode(G, Next++, 1 + I, /*ReadsHeap=*/true);
+    NodeId Mid = makeNode(G, Next++, 2 * I + 1, false, false,
+                          I % 5 == 0 ? ConsumerKind::Predicate
+                                     : ConsumerKind::None);
+    G.addEdge(R, Mid);
+    if (I % 7 == 0) {
+      NodeId W = makeNode(G, Next++, 9, false, /*WritesHeap=*/true);
+      G.addEdge(Mid, W);
+      G.addEdge(W, Tail);
+    } else {
+      G.addEdge(Mid, Tail);
+    }
+    if (I % 3 == 0 && I != 0) // Chains also feed the previous reader.
+      G.addEdge(Mid, NodeId(R - 2));
+    G.noteReader(HeapLoc{uint64_t(I % 10), FieldSlot(I % 2)}, R);
+  }
+  FrozenGraph FG(G);
+  expectTableMatchesDefinitions(FG, "batches");
+}
+
+TEST(CostModelTableTest, SaturatedFrequencyPinsTheSum) {
+  DepGraph G;
+  NodeId R1 = makeNode(G, 1, 5, /*ReadsHeap=*/true);
+  NodeId R2 = makeNode(G, 2, 7, /*ReadsHeap=*/true);
+  NodeId Hot = makeNode(G, 3, ~uint64_t(0) - 3);
+  NodeId After = makeNode(G, 4, 9);
+  G.addEdge(R1, Hot);
+  G.addEdge(R2, Hot);
+  G.addEdge(Hot, After);
+  HeapLoc L{1, 0};
+  G.noteReader(L, R1);
+  G.noteReader(L, R2);
+  FrozenGraph FG(G);
+  expectTableMatchesDefinitions(FG, "saturated");
+  CostModel CM(FG);
+  // Each reader's closure saturates, and so does the sum over readers.
+  EXPECT_EQ(CM.locCostBenefit(L).Rab, double(~uint64_t(0)) / 2.0);
+}
+
+TEST(CostModelTableTest, MatchesDefinitionsOnAllAnalogues) {
+  for (const std::string &Name : dacapoNames()) {
+    Workload W = buildWorkload(Name, 60);
+    SlicingProfiler P = profileRun(*W.M);
+    FrozenGraph FG(P.graph());
+    expectTableMatchesDefinitions(FG, Name);
+  }
+}
+
+TEST(CostModelTableTest, MatchesDefinitionsOnComposedTier) {
+  Workload W = buildComposedWorkload(200);
+  SlicingProfiler P = profileRun(*W.M);
+  FrozenGraph FG(P.graph());
+  ASSERT_GT(FG.numLocs(), 0u);
+  expectTableMatchesDefinitions(FG, "composed");
 }
 
 } // namespace

@@ -115,12 +115,12 @@ TEST(MultiHopTest, ForwardHopsReachTheConsumer) {
   EXPECT_TRUE(OneHop.ReachesNative); // b.g's reader reaches sink directly.
 
   // Find a.f's location through the graph: it's the other non-static tag.
-  for (uint64_t Tag : CostModel(G).allTags()) {
+  for (const auto &[Tag, Alloc] : G.allocEntries()) {
     if (Tag == Prog.TagB || DepGraph::isStaticTag(Tag))
       continue;
-    for (FieldSlot Slot : CM.fieldsOf(Tag)) {
-      LocCostBenefit H1 = multiHopLocCostBenefit(G, HeapLoc{Tag, Slot}, 1);
-      LocCostBenefit H2 = multiHopLocCostBenefit(G, HeapLoc{Tag, Slot}, 2);
+    for (uint32_t I : CM.fieldLocs(Tag)) {
+      LocCostBenefit H1 = multiHopLocCostBenefit(G, G.loc(I), 1);
+      LocCostBenefit H2 = multiHopLocCostBenefit(G, G.loc(I), 2);
       EXPECT_FALSE(H1.ReachesNative);
       EXPECT_TRUE(H2.ReachesNative);
       EXPECT_GE(H2.Rab, H1.Rab);

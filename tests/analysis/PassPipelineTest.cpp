@@ -252,8 +252,9 @@ TEST(PassPipelineTest, AllRecipesPreservedOnBothEngines) {
     opt::PipelineResult R = runPipeline(*W.M);
     EXPECT_EQ(R.ReferenceStatus, RunStatus::Finished) << Name;
     expectPreserved(*W.M, R, Name);
-    if (R.Changed)
+    if (R.Changed) {
       EXPECT_LE(R.InstrsAfter, R.InstrsBefore) << Name;
+    }
   }
 }
 

@@ -207,8 +207,9 @@ TEST(GraphIOTest, BitFlippedDumpNeverCrashes) {
     Mutated[I] = char(Mutated[I] ^ 0x15);
     std::vector<std::string> Errors;
     std::unique_ptr<DepGraph> G = readGraph(Mutated, Errors);
-    if (!G)
+    if (!G) {
       EXPECT_FALSE(Errors.empty()) << "flip at " << I;
+    }
   }
 }
 

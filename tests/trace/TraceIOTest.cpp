@@ -219,8 +219,9 @@ TEST(TraceIOTest, BitFlipsNeverCrashTheReplayer) {
       std::string Mutated = Bytes;
       Mutated[I] = char(uint8_t(Mutated[I]) ^ Bit);
       std::string Err;
-      if (!replayBytes(*W.M, Mutated, Err))
+      if (!replayBytes(*W.M, Mutated, Err)) {
         EXPECT_FALSE(Err.empty()) << "flip at " << I;
+      }
     }
   }
 }

@@ -112,6 +112,15 @@ TEST_P(RandomProgramTest, CostModelMonotonicity) {
   }
 }
 
+TEST_P(RandomProgramTest, LocationTableMatchesDefinitions) {
+  // The batched per-location RAC/RAB table equals Definitions 5/6
+  // evaluated node by node, on shapes nobody wrote by hand.
+  auto M = makeProgram();
+  ProfiledRun P = profiledRun(*M);
+  FrozenGraph FG(P.Prof->graph());
+  expectTableMatchesDefinitions(FG, "seed " + std::to_string(GetParam()));
+}
+
 TEST_P(RandomProgramTest, DeadValueMetricsAreFractions) {
   auto M = makeProgram();
   ProfiledRun P = profiledRun(*M);
