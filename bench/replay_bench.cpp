@@ -14,11 +14,18 @@
 //                 themselves, and the speedup ceiling for re-running a
 //                 different client mix offline.
 //
+// A second table splits the trace layer's own cost on the composed tier,
+// the shape lud-serve ingests: recording over the uninstrumented baseline
+// run, decode (replay into the empty ComposedProfiler<>, so decode, checks
+// and heap rebuild only), and replay into the substrate alone, which is
+// what the daemon's sessions do.
+//
 //===----------------------------------------------------------------------===//
 
 #include "BenchUtil.h"
 
 #include "support/OutStream.h"
+#include "workloads/Composed.h"
 #include "trace/TraceRecorder.h"
 
 #include <benchmark/benchmark.h>
@@ -55,16 +62,74 @@ double recordSeconds(const Module &M, std::string *TraceOut) {
   return Sec;
 }
 
-double replaySeconds(const Module &M, const std::string &Trace) {
-  SessionConfig Cfg;
-  Cfg.Clients = kAllClients;
-  ProfileSession S(Cfg);
+/// Replays \p Trace into a session built from \p Cfg (no recording).
+double replayInto(SessionConfig Cfg, const Module &M,
+                  const std::string &Trace) {
+  ProfileSession S(std::move(Cfg));
   ReplayRun R = S.replay(M, Trace);
   if (!R.Ok) {
     std::fprintf(stderr, "replay failed: %s\n", R.Error.c_str());
     std::exit(1);
   }
   return R.Seconds;
+}
+
+double replaySeconds(const Module &M, const std::string &Trace) {
+  SessionConfig Cfg;
+  Cfg.Clients = kAllClients;
+  return replayInto(std::move(Cfg), M, Trace);
+}
+
+/// Best of \p Reps calls of \p Fn, which returns seconds.
+template <typename FnT> double bestOf(int Reps, FnT Fn) {
+  double Best = Fn();
+  for (int I = 1; I < Reps; ++I)
+    Best = std::min(Best, Fn());
+  return Best;
+}
+
+/// The trace layer's cost split on the composed tier.
+void printSplitTable() {
+  const int64_t S = tableScale() / 2;
+  Workload W = buildComposedWorkload(S);
+  const Module &M = *W.M;
+  std::string Trace;
+  uint64_t Events = 0;
+  double Base = bestOf(3, [&] {
+    ProfileSession Sess(SessionConfig::baseline());
+    return Sess.run(M).Seconds;
+  });
+  double Rec = bestOf(3, [&] {
+    StringOutStream Sink;
+    SessionConfig Cfg = SessionConfig::baseline();
+    Cfg.RecordSink = &Sink;
+    ProfileSession Sess(Cfg);
+    double Sec = Sess.run(M).Seconds;
+    Events = Sess.recorder()->events();
+    Trace = Sink.str();
+    return Sec;
+  });
+  double Decode = bestOf(
+      3, [&] { return replayInto(SessionConfig::baseline(), M, Trace); });
+  double Substrate = bestOf(
+      3, [&] { return replayInto(SessionConfig::profiled(), M, Trace); });
+
+  std::printf("=== Trace layer split: composed tier (scale %lld, %llu "
+              "events, %.1f B/event) ===\n",
+              (long long)S, (unsigned long long)Events,
+              Events ? double(Trace.size()) / double(Events) : 0.0);
+  std::printf("%-22s %10s %12s\n", "row", "time", "ns/event");
+  auto Row = [&](const char *Name, double Sec) {
+    std::printf("%-22s %9.3fs %12.1f\n", Name, Sec,
+                Events ? 1e9 * Sec / double(Events) : 0.0);
+    emitJsonRow(std::string("replay/") + Name + "/composed", S, Sec, 0, 0);
+  };
+  Row("baseline", Base);
+  Row("record_baseline", Rec);
+  Row("decode", Decode);
+  Row("substrate", Substrate);
+  std::printf("record overhead: %.1f ns/event\n\n",
+              Events ? 1e9 * (Rec - Base) / double(Events) : 0.0);
 }
 
 void printTable() {
@@ -141,6 +206,7 @@ int main(int argc, char **argv) {
   initJsonRows(&argc, argv);
   initStats(&argc, argv);
   printTable();
+  printSplitTable();
   benchmark::Initialize(&argc, argv);
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();

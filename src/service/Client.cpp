@@ -137,12 +137,7 @@ bool lud::serve::httpGet(uint16_t Port, const std::string &Path,
     if (Line == "\r" || Line.empty())
       break;
   }
-  Body.clear();
-  std::string Chunk;
-  while (In.readExact(Chunk, 1))
-    Body += Chunk;
-  // readExact over-reads one byte at a time only at the tail; bulk bytes
-  // arrive through the reader's internal 16K buffer, so this stays O(n).
+  In.readToEnd(Body);
   bool Ok = Status.rfind("HTTP/1.0 200", 0) == 0 ||
             Status.rfind("HTTP/1.1 200", 0) == 0;
   if (!Ok)

@@ -68,6 +68,13 @@ enum class EventKind : uint8_t {
 
 inline constexpr unsigned kNumEventKinds = unsigned(EventKind::End) + 1;
 
+/// Longest encoding any event can have on the wire: a load_elem or
+/// store_elem event, whose kind byte is followed by three varints and a
+/// tagged value (a value kind byte plus a varint), each varint at most 10
+/// bytes. The recorder reserves this much per event and the replayer's
+/// fast path runs only while this many bytes remain.
+inline constexpr size_t kMaxEventBytes = 1 + 10 + 10 + 10 + 1 + 10;
+
 /// Printable name for diagnostics and the obs per-kind counters.
 const char *eventKindName(EventKind K);
 

@@ -113,45 +113,19 @@ unsigned lud::trace::nominalEventBytes(EventKind K) {
 // TraceWriter
 //===----------------------------------------------------------------------===//
 
-void TraceWriter::varint(uint64_t V) {
-  while (V >= 0x80) {
-    Buf.push_back(char(uint8_t(V) | 0x80));
-    ++Bytes;
-    V >>= 7;
-  }
-  Buf.push_back(char(uint8_t(V)));
-  maybeFlush();
-}
-
-void TraceWriter::f64(double D) {
+uint8_t *TraceWriter::putF64(uint8_t *P, double D) {
   uint64_t Bits;
   std::memcpy(&Bits, &D, sizeof(Bits));
-  for (int I = 0; I != 8; ++I) {
-    Buf.push_back(char(uint8_t(Bits >> (8 * I))));
-    ++Bytes;
-  }
-  if (Buf.size() >= kFlushAt)
-    flush();
-}
-
-void TraceWriter::value(const Value &V) {
-  u8(uint8_t(V.Kind));
-  switch (V.Kind) {
-  case ValueKind::Int:
-    svarint(V.I);
-    break;
-  case ValueKind::Float:
-    f64(V.F);
-    break;
-  case ValueKind::Ref:
-    varint(V.R);
-    break;
-  }
+  for (int I = 0; I != 8; ++I)
+    *P++ = uint8_t(Bits >> (8 * I));
+  return P;
 }
 
 void TraceWriter::beginTrace(const Module &M) {
-  Buf.append(kTraceMagic, kTraceMagicLen);
-  Bytes += kTraceMagicLen;
+  static_assert(kTraceMagicLen <= kMaxEventBytes);
+  uint8_t *P = reserve();
+  std::memcpy(P, kTraceMagic, kTraceMagicLen);
+  commit(P + kTraceMagicLen);
   varint(M.getNumInstrs());
   varint(M.functions().size());
   varint(M.globals().size());
@@ -163,10 +137,12 @@ void TraceWriter::endTrace() {
 }
 
 void TraceWriter::flush() {
-  if (Buf.empty())
+  size_t N = size_t(Cur - Buf.get());
+  if (!N)
     return;
-  *Sink << std::string_view(Buf);
-  Buf.clear();
+  *Sink << std::string_view(reinterpret_cast<const char *>(Buf.get()), N);
+  Flushed += N;
+  Cur = Buf.get();
 }
 
 //===----------------------------------------------------------------------===//

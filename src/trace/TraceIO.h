@@ -26,6 +26,7 @@
 
 #include "trace/Event.h"
 
+#include <memory>
 #include <string>
 #include <string_view>
 
@@ -36,12 +37,16 @@ class OutStream;
 
 namespace trace {
 
-/// Buffered encoder over a borrowed OutStream. Hooks append to an internal
-/// buffer; the buffer drains to the sink when full and at endTrace(), so
-/// file-backed recording does not pay one fwrite per event.
+/// Buffered encoder over a borrowed OutStream. Events are encoded straight
+/// into a raw buffer window: reserve() makes room for one whole event (one
+/// space check), the put* encoders advance a raw cursor, and commit() takes
+/// the bytes. The buffer drains to the sink when an event might not fit and
+/// at endTrace(), so file-backed recording does not pay one fwrite per
+/// event.
 class TraceWriter {
 public:
-  explicit TraceWriter(OutStream &Sink) : Sink(&Sink) {}
+  explicit TraceWriter(OutStream &Sink)
+      : Sink(&Sink), Buf(new uint8_t[kBufBytes]), Cur(Buf.get()) {}
   ~TraceWriter() { flush(); }
 
   /// Opens a segment: magic plus the module fingerprint the reader checks
@@ -50,33 +55,68 @@ public:
   /// Terminates the segment with an End event and drains the buffer.
   void endTrace();
 
+  /// Returns a write cursor with room for at least kMaxEventBytes bytes.
+  uint8_t *reserve() {
+    if (size_t(Buf.get() + kBufBytes - Cur) < kMaxEventBytes)
+      flush();
+    return Cur;
+  }
+  /// Takes the bytes written between the last reserve() and \p End;
+  /// returns how many there were.
+  size_t commit(uint8_t *End) {
+    size_t N = size_t(End - Cur);
+    Cur = End;
+    return N;
+  }
+
+  // Raw encoders: each writes at \p P and returns the advanced cursor.
+  static uint8_t *putVarint(uint8_t *P, uint64_t V) {
+    while (V >= 0x80) {
+      *P++ = uint8_t(V) | 0x80;
+      V >>= 7;
+    }
+    *P++ = uint8_t(V);
+    return P;
+  }
+  static uint8_t *putSvarint(uint8_t *P, int64_t V) {
+    return putVarint(P, (uint64_t(V) << 1) ^ uint64_t(V >> 63));
+  }
+  static uint8_t *putF64(uint8_t *P, double D);
+  static uint8_t *putValue(uint8_t *P, const Value &V) {
+    *P++ = uint8_t(V.Kind);
+    switch (V.Kind) {
+    case ValueKind::Int:
+      return putSvarint(P, V.I);
+    case ValueKind::Float:
+      return putF64(P, V.F);
+    case ValueKind::Ref:
+      return putVarint(P, V.R);
+    }
+    return P;
+  }
+
+  // One-primitive writes: segment framing and the wire-format tests.
   void u8(uint8_t B) {
-    Buf.push_back(char(B));
-    maybeFlush();
+    uint8_t *P = reserve();
+    *P++ = B;
+    commit(P);
   }
-  void varint(uint64_t V);
-  void svarint(int64_t V) {
-    varint((uint64_t(V) << 1) ^ uint64_t(V >> 63));
-  }
-  void f64(double D);
-  void value(const Value &V);
+  void varint(uint64_t V) { commit(putVarint(reserve(), V)); }
+  void svarint(int64_t V) { commit(putSvarint(reserve(), V)); }
+  void f64(double D) { commit(putF64(reserve(), D)); }
+  void value(const Value &V) { commit(putValue(reserve(), V)); }
 
   void flush();
 
   /// Bytes encoded so far (flushed or not).
-  uint64_t bytes() const { return Bytes; }
+  uint64_t bytes() const { return Flushed + uint64_t(Cur - Buf.get()); }
 
 private:
-  void maybeFlush() {
-    ++Bytes;
-    if (Buf.size() >= kFlushAt)
-      flush();
-  }
-
-  static constexpr size_t kFlushAt = 64 * 1024;
+  static constexpr size_t kBufBytes = 64 * 1024;
   OutStream *Sink;
-  std::string Buf;
-  uint64_t Bytes = 0;
+  std::unique_ptr<uint8_t[]> Buf;
+  uint8_t *Cur;
+  uint64_t Flushed = 0;
 };
 
 /// Decoder over an in-memory trace. All reads are bounds-checked; the first
@@ -114,6 +154,10 @@ public:
   bool hasError() const { return !Err.empty(); }
   /// Byte offset of the read cursor, for diagnostics.
   size_t offset() const { return Pos; }
+  /// Moves the read cursor to \p Offset (at most the input size): the
+  /// replayer's fast path decodes events itself and hands the cursor back
+  /// at the first event it leaves to next().
+  void seek(size_t Offset) { Pos = Offset; }
 
   // Primitive decoders, public for the wire-format tests.
   bool u8(uint8_t &B);

@@ -38,7 +38,12 @@ public:
   /// \p Sink receives the encoded segments; it must outlive the recorder.
   explicit TraceRecorder(OutStream &Sink) : W(Sink) {}
 
-  uint64_t events() const { return Events; }
+  uint64_t events() const {
+    uint64_t N = 0;
+    for (uint64_t C : KindCount)
+      N += C;
+    return N;
+  }
   uint64_t bytes() const { return W.bytes(); }
 
   /// Writes the recorder's telemetry (`trace.*`) into \p R: total events
@@ -46,17 +51,22 @@ public:
   /// and the encoded-vs-nominal compression ratio. Idempotent set()s, like
   /// the client profilers' accountStats.
   void accountStats(obs::MetricsRegistry &R) const {
-    R.set(R.gauge("trace.events", obs::Unit::Count, obs::Merge::Sum), Events);
+    R.set(R.gauge("trace.events", obs::Unit::Count, obs::Merge::Sum),
+          events());
     R.set(R.gauge("trace.bytes", obs::Unit::Bytes, obs::Merge::Sum),
           W.bytes());
     R.set(R.gauge("trace.segments", obs::Unit::Count, obs::Merge::Sum),
           Segments);
-    for (unsigned K = 1; K != kNumEventKinds; ++K)
-      if (KindCount[K])
-        R.set(R.gauge(std::string("trace.events.") +
-                          eventKindName(EventKind(K)),
-                      obs::Unit::Count, obs::Merge::Sum),
-              KindCount[K]);
+    uint64_t Nominal = 0;
+    for (unsigned K = 1; K != kNumEventKinds; ++K) {
+      if (!KindCount[K])
+        continue;
+      Nominal += KindCount[K] * nominalEventBytes(EventKind(K));
+      R.set(R.gauge(std::string("trace.events.") +
+                        eventKindName(EventKind(K)),
+                    obs::Unit::Count, obs::Merge::Sum),
+            KindCount[K]);
+    }
     for (unsigned P = 0; P != kPhaseBuckets; ++P) {
       if (!PhaseEvents[P])
         continue;
@@ -78,7 +88,8 @@ public:
             W.bytes() * 1000000 / Nominal);
   }
 
-  // Profiler hooks.
+  // Profiler hooks. Each encodes its event straight into the writer's
+  // buffer: begin() reserves room for a whole event, finish() commits it.
   void onRunStart(const Module &Mod, Heap &H) {
     this->H = &H;
     ++Segments;
@@ -86,16 +97,14 @@ public:
   }
   void onRunEnd() { W.endTrace(); }
   void onEntryFrame(const Function &F) {
-    begin(EventKind::EntryFrame);
-    W.varint(F.getId());
-    finish(EventKind::EntryFrame);
+    uint8_t *P = begin(EventKind::EntryFrame);
+    finish(EventKind::EntryFrame, TraceWriter::putVarint(P, F.getId()));
   }
-  void onPhase(int64_t P) {
-    begin(EventKind::Phase);
-    W.svarint(P);
-    finish(EventKind::Phase);
-    Bucket = P >= 0 && P < int64_t(kPhaseBuckets) - 1 ? unsigned(P)
-                                                      : kPhaseBuckets - 1;
+  void onPhase(int64_t Ph) {
+    uint8_t *P = begin(EventKind::Phase);
+    finish(EventKind::Phase, TraceWriter::putSvarint(P, Ph));
+    Bucket = Ph >= 0 && Ph < int64_t(kPhaseBuckets) - 1 ? unsigned(Ph)
+                                                        : kPhaseBuckets - 1;
   }
 
   void onConst(const ConstInst &I) { instrOnly(EventKind::Const, I); }
@@ -104,18 +113,10 @@ public:
   void onUn(const UnInst &I) { instrOnly(EventKind::Un, I); }
 
   void onAlloc(const AllocInst &I, ObjId O) {
-    begin(EventKind::Alloc);
-    W.varint(I.getId());
-    W.varint(O);
-    W.varint(uint32_t(H->obj(O).Slots.size()));
-    finish(EventKind::Alloc);
+    alloc(EventKind::Alloc, I.getId(), O);
   }
   void onAllocArray(const AllocArrayInst &I, ObjId O) {
-    begin(EventKind::AllocArray);
-    W.varint(I.getId());
-    W.varint(O);
-    W.varint(uint32_t(H->obj(O).Slots.size()));
-    finish(EventKind::AllocArray);
+    alloc(EventKind::AllocArray, I.getId(), O);
   }
 
   void onLoadField(const LoadFieldInst &I, ObjId Base, const Value &Loaded) {
@@ -126,16 +127,10 @@ public:
     heapAccess(EventKind::StoreField, I.getId(), Base, Stored);
   }
   void onLoadStatic(const LoadStaticInst &I, const Value &Loaded) {
-    begin(EventKind::LoadStatic);
-    W.varint(I.getId());
-    W.value(Loaded);
-    finish(EventKind::LoadStatic);
+    staticAccess(EventKind::LoadStatic, I.getId(), Loaded);
   }
   void onStoreStatic(const StoreStaticInst &I, const Value &Stored) {
-    begin(EventKind::StoreStatic);
-    W.varint(I.getId());
-    W.value(Stored);
-    finish(EventKind::StoreStatic);
+    staticAccess(EventKind::StoreStatic, I.getId(), Stored);
   }
   void onLoadElem(const LoadElemInst &I, ObjId Base, uint32_t Index,
                   const Value &Loaded) {
@@ -146,10 +141,9 @@ public:
     elemAccess(EventKind::StoreElem, I.getId(), Base, Index, Stored);
   }
   void onArrayLen(const ArrayLenInst &I, ObjId Base) {
-    begin(EventKind::ArrayLen);
-    W.varint(I.getId());
-    W.varint(Base);
-    finish(EventKind::ArrayLen);
+    uint8_t *P = begin(EventKind::ArrayLen);
+    P = TraceWriter::putVarint(P, I.getId());
+    finish(EventKind::ArrayLen, TraceWriter::putVarint(P, Base));
   }
 
   void onPredicate(const CondBrInst &I, bool Taken) {
@@ -162,24 +156,21 @@ public:
   }
   void onCallEnter(const CallInst &I, const Function &Callee,
                    ObjId Receiver) {
-    begin(EventKind::CallEnter);
-    W.varint(I.getId());
-    W.varint(Callee.getId());
-    W.varint(Receiver);
-    finish(EventKind::CallEnter);
+    uint8_t *P = begin(EventKind::CallEnter);
+    P = TraceWriter::putVarint(P, I.getId());
+    P = TraceWriter::putVarint(P, Callee.getId());
+    finish(EventKind::CallEnter, TraceWriter::putVarint(P, Receiver));
   }
   void onReturn(const ReturnInst &I) { instrOnly(EventKind::Return, I); }
   void onReturnBound(Reg Dst) {
-    begin(EventKind::ReturnBound);
-    W.varint(Dst);
-    finish(EventKind::ReturnBound);
+    uint8_t *P = begin(EventKind::ReturnBound);
+    finish(EventKind::ReturnBound, TraceWriter::putVarint(P, Dst));
   }
   void onTrap(const Instruction &I, TrapKind K, Reg FaultReg) {
-    begin(EventKind::Trap);
-    W.varint(I.getId());
-    W.u8(uint8_t(K));
-    W.varint(FaultReg);
-    finish(EventKind::Trap);
+    uint8_t *P = begin(EventKind::Trap);
+    P = TraceWriter::putVarint(P, I.getId());
+    *P++ = uint8_t(K);
+    finish(EventKind::Trap, TraceWriter::putVarint(P, FaultReg));
   }
 
 private:
@@ -187,45 +178,51 @@ private:
   /// everything else lands in "other".
   static constexpr unsigned kPhaseBuckets = 8;
 
-  void begin(EventKind K) {
-    EventStart = W.bytes();
-    W.u8(uint8_t(K));
+  /// Reserves room for one event, writes its kind byte and returns the
+  /// payload cursor.
+  uint8_t *begin(EventKind K) {
+    uint8_t *P = W.reserve();
+    *P = uint8_t(K);
+    return P + 1;
   }
-  void finish(EventKind K) {
-    ++Events;
+  /// Commits the event ending at \p End and counts it.
+  void finish(EventKind K, uint8_t *End) {
     ++KindCount[unsigned(K)];
     ++PhaseEvents[Bucket];
-    PhaseBytes[Bucket] += W.bytes() - EventStart;
-    Nominal += nominalEventBytes(K);
+    PhaseBytes[Bucket] += W.commit(End);
   }
   void instrOnly(EventKind K, const Instruction &I) {
-    begin(K);
-    W.varint(I.getId());
-    finish(K);
+    finish(K, TraceWriter::putVarint(begin(K), I.getId()));
+  }
+  void alloc(EventKind K, InstrId I, ObjId O) {
+    uint8_t *P = begin(K);
+    P = TraceWriter::putVarint(P, I);
+    P = TraceWriter::putVarint(P, O);
+    finish(K, TraceWriter::putVarint(P, uint32_t(H->obj(O).Slots.size())));
   }
   void heapAccess(EventKind K, InstrId I, ObjId Base, const Value &V) {
-    begin(K);
-    W.varint(I);
-    W.varint(Base);
-    W.value(V);
-    finish(K);
+    uint8_t *P = begin(K);
+    P = TraceWriter::putVarint(P, I);
+    P = TraceWriter::putVarint(P, Base);
+    finish(K, TraceWriter::putValue(P, V));
+  }
+  void staticAccess(EventKind K, InstrId I, const Value &V) {
+    uint8_t *P = begin(K);
+    P = TraceWriter::putVarint(P, I);
+    finish(K, TraceWriter::putValue(P, V));
   }
   void elemAccess(EventKind K, InstrId I, ObjId Base, uint32_t Index,
                   const Value &V) {
-    begin(K);
-    W.varint(I);
-    W.varint(Base);
-    W.varint(Index);
-    W.value(V);
-    finish(K);
+    uint8_t *P = begin(K);
+    P = TraceWriter::putVarint(P, I);
+    P = TraceWriter::putVarint(P, Base);
+    P = TraceWriter::putVarint(P, Index);
+    finish(K, TraceWriter::putValue(P, V));
   }
 
   TraceWriter W;
   Heap *H = nullptr;
-  uint64_t Events = 0;
   uint64_t Segments = 0;
-  uint64_t Nominal = 0;
-  uint64_t EventStart = 0;
   unsigned Bucket = 0;
   uint64_t KindCount[kNumEventKinds] = {};
   uint64_t PhaseEvents[kPhaseBuckets] = {};

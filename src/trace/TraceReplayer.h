@@ -21,6 +21,14 @@
 /// alloc-id cross-check all fail with an error message on corrupt input.
 /// A failed replay leaves the profiler partially updated — discard it.
 ///
+/// The loop is fused: for the common event kinds one switch on the kind
+/// byte decodes the payload with inline varints, runs every check the
+/// reader and the replayer would run, and calls the hook. Any event it does
+/// not take — a rare kind, a failed check, or fewer than kMaxEventBytes
+/// bytes left — goes through TraceReader::next and the checked dispatch
+/// below, starting at that event's first byte, so every diagnostic and its
+/// offset come from the checked path (docs/TRACING.md, "Replay fast path").
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef LUD_TRACE_TRACEREPLAYER_H
@@ -31,7 +39,10 @@
 #include "runtime/ProfilerConcept.h"
 #include "trace/TraceIO.h"
 
+#include <algorithm>
+#include <cstring>
 #include <string>
+#include <type_traits>
 
 namespace lud {
 namespace trace {
@@ -49,6 +60,243 @@ struct ReplayStats {
   uint64_t Segments = 0;
 };
 
+namespace detail {
+
+/// Decodes a varint at \p P, which has at least 10 readable bytes. False on
+/// what TraceReader::varint rejects: an 11th byte, or payload bits past
+/// bit 63 in the 10th.
+inline bool fastVarint(const uint8_t *&P, uint64_t &V) {
+  uint64_t B = *P++;
+  if (B < 0x80) {
+    V = B;
+    return true;
+  }
+  V = B & 0x7F;
+  for (unsigned Shift = 7; Shift != 63; Shift += 7) {
+    B = *P++;
+    V |= (B & 0x7F) << Shift;
+    if (B < 0x80)
+      return true;
+  }
+  B = *P++;
+  if (B > 1)
+    return false;
+  V |= B << 63;
+  return true;
+}
+
+/// Decodes a tagged value whose reference, if any, is null or below
+/// \p IdBound (which is at most 2^32, so the 32-bit id check is implied).
+inline bool fastValue(const uint8_t *&P, uint64_t IdBound, Value &V) {
+  uint64_t U;
+  switch (*P++) {
+  case uint8_t(ValueKind::Int):
+    if (!fastVarint(P, U))
+      return false;
+    V = Value::makeInt(int64_t((U >> 1) ^ (~(U & 1) + 1)));
+    return true;
+  case uint8_t(ValueKind::Float): {
+    uint64_t Bits = 0;
+    for (int I = 0; I != 8; ++I)
+      Bits |= uint64_t(P[I]) << (8 * I);
+    P += 8;
+    double D;
+    std::memcpy(&D, &Bits, sizeof(D));
+    V = Value::makeFloat(D);
+    return true;
+  }
+  case uint8_t(ValueKind::Ref):
+    if (!fastVarint(P, U) || (U != kNullObj && U >= IdBound))
+      return false;
+    V = Value::makeRef(ObjId(U));
+    return true;
+  }
+  return false;
+}
+
+/// The fused decode-and-dispatch loop. Replays events from offset \p Pos of
+/// \p Bytes into \p P while a whole kMaxEventBytes event fits, and returns
+/// the offset of the first event it leaves to the checked path. No hook
+/// runs for that event and nothing about it is counted. \p Events grows by
+/// the events replayed. The heap only grows at allocations, which the
+/// checked path replays, so its id bound is fixed for one call.
+template <typename ProfilerT>
+size_t replayFast(const Module &M, std::string_view Bytes, size_t Pos,
+                  const Heap &H, ProfilerT &P, uint64_t &Events) {
+  if (Bytes.size() - Pos < kMaxEventBytes)
+    return Pos;
+  const uint8_t *Base = reinterpret_cast<const uint8_t *>(Bytes.data());
+  const uint8_t *Last = Base + Bytes.size() - kMaxEventBytes;
+  const uint64_t NumInstrs = M.getNumInstrs();
+  const uint64_t NumFuncs = M.functions().size();
+  const uint64_t IdBound = std::min<uint64_t>(H.idBound(), uint64_t(1) << 32);
+  const uint8_t *Cur = Base + Pos;
+  const uint8_t *Start;
+  uint64_t N = 0;
+
+  // The reader's id bound and the replayer's instruction-kind check in one.
+  auto InstrAs = [&](auto *&Out) {
+    using InstT = std::remove_const_t<std::remove_reference_t<decltype(*Out)>>;
+    uint64_t Id;
+    if (!fastVarint(Cur, Id) || Id >= NumInstrs)
+      return false;
+    Out = dyn_cast<InstT>(M.getInstr(InstrId(Id)));
+    return Out != nullptr;
+  };
+  // A heap base: allocated, so neither null nor past the heap.
+  auto HeapBase = [&](ObjId &O) {
+    uint64_t U;
+    if (!fastVarint(Cur, U) || U == kNullObj || U >= IdBound)
+      return false;
+    O = ObjId(U);
+    return true;
+  };
+  auto Val = [&](Value &V) { return fastValue(Cur, IdBound, V); };
+
+  while ((Start = Cur) <= Last) {
+    switch (EventKind(*Cur++)) {
+    case EventKind::Const: {
+      const ConstInst *I;
+      if (!InstrAs(I))
+        goto Stop;
+      P.onConst(*I);
+      break;
+    }
+    case EventKind::Assign: {
+      const AssignInst *I;
+      if (!InstrAs(I))
+        goto Stop;
+      P.onAssign(*I);
+      break;
+    }
+    case EventKind::Bin: {
+      const BinInst *I;
+      if (!InstrAs(I))
+        goto Stop;
+      P.onBin(*I);
+      break;
+    }
+    case EventKind::Un: {
+      const UnInst *I;
+      if (!InstrAs(I))
+        goto Stop;
+      P.onUn(*I);
+      break;
+    }
+    case EventKind::LoadField: {
+      const LoadFieldInst *I;
+      ObjId O;
+      Value V;
+      if (!InstrAs(I) || !HeapBase(O) || !Val(V))
+        goto Stop;
+      P.onLoadField(*I, O, V);
+      break;
+    }
+    case EventKind::StoreField: {
+      const StoreFieldInst *I;
+      ObjId O;
+      Value V;
+      if (!InstrAs(I) || !HeapBase(O) || !Val(V))
+        goto Stop;
+      P.onStoreField(*I, O, V);
+      break;
+    }
+    case EventKind::LoadStatic: {
+      const LoadStaticInst *I;
+      Value V;
+      if (!InstrAs(I) || !Val(V))
+        goto Stop;
+      P.onLoadStatic(*I, V);
+      break;
+    }
+    case EventKind::StoreStatic: {
+      const StoreStaticInst *I;
+      Value V;
+      if (!InstrAs(I) || !Val(V))
+        goto Stop;
+      P.onStoreStatic(*I, V);
+      break;
+    }
+    case EventKind::LoadElem: {
+      const LoadElemInst *I;
+      ObjId O;
+      uint64_t Index;
+      Value V;
+      if (!InstrAs(I) || !HeapBase(O) || !fastVarint(Cur, Index) ||
+          Index > 0xFFFFFFFFull || !Val(V))
+        goto Stop;
+      P.onLoadElem(*I, O, uint32_t(Index), V);
+      break;
+    }
+    case EventKind::StoreElem: {
+      const StoreElemInst *I;
+      ObjId O;
+      uint64_t Index;
+      Value V;
+      if (!InstrAs(I) || !HeapBase(O) || !fastVarint(Cur, Index) ||
+          Index > 0xFFFFFFFFull || !Val(V))
+        goto Stop;
+      P.onStoreElem(*I, O, uint32_t(Index), V);
+      break;
+    }
+    case EventKind::ArrayLen: {
+      const ArrayLenInst *I;
+      ObjId O;
+      if (!InstrAs(I) || !HeapBase(O))
+        goto Stop;
+      P.onArrayLen(*I, O);
+      break;
+    }
+    case EventKind::PredicateTaken:
+    case EventKind::PredicateNotTaken: {
+      const CondBrInst *I;
+      if (!InstrAs(I))
+        goto Stop;
+      P.onPredicate(*I, EventKind(*Start) == EventKind::PredicateTaken);
+      break;
+    }
+    case EventKind::NativeCall: {
+      const NativeCallInst *I;
+      if (!InstrAs(I))
+        goto Stop;
+      P.onNativeCall(*I);
+      break;
+    }
+    case EventKind::CallEnter: {
+      const CallInst *I;
+      uint64_t F, Recv;
+      if (!InstrAs(I) || !fastVarint(Cur, F) || F >= NumFuncs ||
+          !fastVarint(Cur, Recv) || (Recv != kNullObj && Recv >= IdBound))
+        goto Stop;
+      P.onCallEnter(*I, *M.getFunction(FuncId(F)), ObjId(Recv));
+      break;
+    }
+    case EventKind::Return: {
+      const ReturnInst *I;
+      if (!InstrAs(I))
+        goto Stop;
+      P.onReturn(*I);
+      break;
+    }
+    case EventKind::ReturnBound: {
+      uint64_t R;
+      if (!fastVarint(Cur, R) || R > kNoReg)
+        goto Stop;
+      P.onReturnBound(Reg(R));
+      break;
+    }
+    default: // Entry, phase, allocations, traps, 'end' and bad kind bytes.
+      goto Stop;
+    }
+    ++N;
+  }
+Stop:
+  Events += N;
+  return size_t(Start - Base);
+}
+
+} // namespace detail
+
 /// Replays every segment of \p Bytes through \p P. Returns false with
 /// \p Error set on malformed or mismatched input. On success the profiler
 /// saw exactly the live run's hook sequence (onRunStart/onRunEnd per
@@ -57,6 +305,8 @@ template <typename ProfilerT>
 bool replayTrace(const Module &M, std::string_view Bytes, ProfilerT &P,
                  std::string &Error, ReplayStats *Stats = nullptr,
                  ReplayOptions Opts = {}) {
+  ReplayStats Local;
+  ReplayStats &S = Stats ? *Stats : Local;
   TraceReader R(Bytes);
   auto Fail = [&](const std::string &Msg) {
     Error = R.hasError() ? R.error()
@@ -79,18 +329,20 @@ bool replayTrace(const Module &M, std::string_view Bytes, ProfilerT &P,
       return Fail("bad header");
     Heap H;
     P.onRunStart(M, H);
-    if (Stats)
-      ++Stats->Segments;
+    ++S.Segments;
     bool SawEnd = false;
     TraceEvent E;
     while (!SawEnd) {
+      // The fast path takes every event it can; the one it stops at is
+      // decoded and dispatched by the checked path from its first byte.
+      R.seek(detail::replayFast(M, Bytes, R.offset(), H, P, S.Events));
       if (!R.next(E))
         return Fail("truncated segment (no 'end' event)");
       // Count what the recorder counted: hook events, not the segment's
       // 'end' terminator (the recorder emits it from onRunEnd without
       // ticking its event counter).
-      if (Stats && E.Kind != EventKind::End)
-        ++Stats->Events;
+      if (E.Kind != EventKind::End)
+        ++S.Events;
       auto CheckBase = [&] {
         if (E.Obj == kNullObj || E.Obj >= H.idBound())
           return Fail("object id " + std::to_string(E.Obj) +
